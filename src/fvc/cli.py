@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .conditions import build_report
-from .expr import ParseError, parse
+from .expr import EvalError, ParseError, parse
 from .frac_ops import Grid, GridFn
 from .model import (
     Ball,
@@ -32,7 +32,13 @@ from .model import (
     standard_constraint,
     validate,
 )
-from .solver import SolverConfig, nonexistence_diagnostic, objective_gradient, solve
+from .solver import (
+    SolverConfig,
+    SolverError,
+    nonexistence_diagnostic,
+    objective_gradient,
+    solve,
+)
 
 __all__ = ["main", "load_problem", "load_trajectory", "write_trajectory"]
 
@@ -285,7 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fvc",
         description="Solve and verify fractional Bolza variational problems.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="minimize the cost of a problem file")
@@ -324,10 +329,9 @@ def _configure_logging():
 def main(argv=None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
-    np.random.seed(args.seed % (2**32))
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, SolverError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

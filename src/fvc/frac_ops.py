@@ -5,10 +5,15 @@ computed by product integration: the data is treated as piecewise-constant
 on cells (left-node value) and the weakly singular kernel is integrated
 exactly over each cell. This gives O(h) accuracy without any regularization
 of the kernel.
+
+The product-integration sums are discrete Volterra convolutions. They are
+evaluated by FFT in O(n log n), with the kernel weights and their spectrum
+cached per (order, grid).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -133,14 +138,33 @@ class FracWeights:
     def build(cls, alpha: float, h: float, n_cells: int) -> "FracWeights":
         if alpha <= 0:
             raise FracDomainError(f"need alpha > 0, got {alpha}")
-        m = np.arange(n_cells, dtype=float)
-        w = ((m + 1.0) ** alpha - m**alpha) * h**alpha / math.gamma(alpha + 1.0)
-        w.setflags(write=False)
-        return cls(alpha, h, w)
+        return cls(alpha, h, _kernel(alpha, h, n_cells)[0])
 
 
-def _weights(alpha: float, grid: Grid) -> np.ndarray:
-    return FracWeights.build(alpha, grid.h, grid.n_cells).weights
+@functools.lru_cache(maxsize=16)
+def _kernel(alpha: float, h: float, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights of order alpha on n_cells cells of width h, and their
+    real FFT spectrum zero-padded to a power of two >= 2*n_cells, so that the
+    circular convolution of two length-n_cells sequences equals the linear one.
+    """
+    m = np.arange(n_cells, dtype=float)
+    w = ((m + 1.0) ** alpha - m**alpha) * h**alpha / math.gamma(alpha + 1.0)
+    spectrum = np.fft.rfft(w, 1 << (2 * int(n_cells) - 1).bit_length())
+    w.setflags(write=False)
+    spectrum.setflags(write=False)
+    return w, spectrum
+
+
+def _volterra(cells: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
+    """out[k] = sum_{i<=k} cells[i] * w[k-i] for every column of cells.
+
+    w are the order-alpha weights of grid; cells has at most n_cells rows and
+    out has as many rows as cells.
+    """
+    spectrum = _kernel(alpha, grid.h, grid.n_cells)[1]
+    n_fft = 2 * (spectrum.shape[0] - 1)
+    full = np.fft.irfft(np.fft.rfft(cells, n_fft, axis=0) * spectrum[:, None], n_fft, axis=0)
+    return full[: cells.shape[0]]
 
 
 def rl_integral_left(u: GridFn, alpha: float) -> GridFn:
@@ -154,13 +178,9 @@ def rl_integral_left(u: GridFn, alpha: float) -> GridFn:
         raise FracDomainError(f"need alpha >= 0, got {alpha}")
     if alpha == 0:
         return u
-    w = _weights(alpha, u.grid)
-    n = u.grid.n_cells
     out = np.zeros_like(u.values)
-    for d in range(u.dim):
-        cells = u.values[:-1, d]
-        # node k accumulates sum_{i<k} u_i * w_{k-1-i}
-        out[1:, d] = np.convolve(cells, w)[:n]
+    # node k accumulates sum_{i<k} u_i * w_{k-1-i}
+    out[1:] = _volterra(u.values[:-1], alpha, u.grid)
     return u.with_values(out)
 
 
@@ -174,13 +194,9 @@ def rl_integral_right(u: GridFn, alpha: float) -> GridFn:
         raise FracDomainError(f"need alpha >= 0, got {alpha}")
     if alpha == 0:
         return u
-    w = _weights(alpha, u.grid)
-    n = u.grid.n_cells
     out = np.zeros_like(u.values)
-    for d in range(u.dim):
-        # node k accumulates sum_{i>=k} u_i * w_{i-k}; correlate by reversal
-        cells = u.values[:-1, d][::-1]
-        out[:n, d] = np.convolve(cells, w)[:n][::-1]
+    # node k accumulates sum_{i>=k} u_i * w_{i-k}; correlate by reversal
+    out[:-1] = _volterra(u.values[-2::-1], alpha, u.grid)[::-1]
     return u.with_values(out)
 
 

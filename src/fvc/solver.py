@@ -18,8 +18,8 @@ import numpy as np
 
 from .conditions import ResidualReport, build_report
 from .convex import dist, dist_sq_gradient, project
-from .expr import Var
-from .frac_ops import FracWeights, GridFn
+from .expr import EvalError, Var
+from .frac_ops import FracWeights, GridFn, _volterra
 from .functional import (
     beta_cell_weights,
     bolza_eval,
@@ -111,11 +111,9 @@ def objective_gradient(spec: ProblemSpec, traj: TrajectoryPair):
     grad_u = np.zeros_like(traj.u.values)
     weighted_d1 = w_beta[:, None] * d1[:-1]
     grad_u[:-1] = w_beta[:, None] * d2[:-1] + w_alpha[::-1, None] * dphi_b[None, :]
-    for d in range(spec.dim):
-        # transpose of the causal fractional-integral map: node j collects the
-        # downstream contributions of d1L at cells j+1..n-1
-        shifted = weighted_d1[1:, d][::-1]
-        grad_u[: n_cells - 1, d] += np.convolve(shifted, w_alpha)[: n_cells - 1][::-1]
+    # transpose of the causal fractional-integral map: node j collects the
+    # downstream contributions of d1L at cells j+1..n-1
+    grad_u[: n_cells - 1] += _volterra(weighted_d1[:0:-1], spec.alpha, grid)[::-1]
     grad_y = dphi_a + dphi_b + weighted_d1.sum(axis=0)
     return GridFn(grid, grad_u), grad_y
 
@@ -193,7 +191,8 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
             z_new = np.clip(z + step * d, lo, hi)
             try:
                 f_new, g_new, _ = fun(z_new)
-            except SolverError:
+            except (SolverError, EvalError):
+                # a trial point outside the integrand's domain is a rejected step
                 step *= cfg.shrink
                 continue
             if f_new <= f + cfg.sufficient_decrease * float(g @ (z_new - z)):

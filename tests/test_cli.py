@@ -84,6 +84,18 @@ class TestSolveCommand:
     def test_iteration_budget_exit_code(self, problem_file):
         assert main(["solve", problem_file(), "--max-iters", "1"]) == 2
 
+    def test_trial_point_outside_domain(self, problem_file, capsys):
+        path = problem_file(
+            alpha=0.8, phi="5*xb1", lagrangian="0.5*u1^2 - log(1 + x1)", grid={"n_cells": 128}
+        )
+        assert main(["solve", path, "--max-iters", "20"]) == 2
+        assert "objective" in capsys.readouterr().out
+
+    def test_evaluation_error_reported(self, problem_file, capsys):
+        # the default start x = 0 is outside the domain of log(x1)
+        assert main(["solve", problem_file(lagrangian="0.5*u1^2 - log(x1)")]) == 1
+        assert capsys.readouterr().err.startswith("error: non-finite value")
+
     def test_trajectory_round_trip(self, problem_file, tmp_path):
         traj_path = tmp_path / "traj.csv"
         assert main(["solve", problem_file(), "--traj-out", str(traj_path)]) == 0

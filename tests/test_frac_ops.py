@@ -18,6 +18,7 @@ from fvc import (
     rl_integral_right_at,
     window_variation,
 )
+from fvc.frac_ops import _kernel
 from fvc.functional import _right_double_kernel_at, beta_cell_weights
 
 SQRT_PI = math.sqrt(math.pi)
@@ -321,3 +322,55 @@ class TestIntegrationByParts:
             x2 = GridFn(grid, rng.uniform(-1, 1) + np.cos(rng.uniform(1, 4) * grid.nodes()))
             lhs, rhs = self.both_sides(grid, alpha, beta, x1, x2)
             assert math.isclose(lhs, rhs, abs_tol=2e-2)
+
+
+def direct_weights(alpha, grid):
+    m = np.arange(grid.n_cells, dtype=float)
+    return ((m + 1.0) ** alpha - m**alpha) * grid.h**alpha / math.gamma(alpha + 1.0)
+
+
+class TestConvolutionAgainstDirectSum:
+    """The FFT-evaluated product-integration sums against the explicit sums."""
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.75, 1.0])
+    def test_left_and_right(self, alpha, rng):
+        grid = Grid(0.0, 1.3, 777)
+        n = grid.n_cells
+        u = GridFn(grid, rng.normal(size=(grid.n_nodes, 3)))
+        w = direct_weights(alpha, grid)
+        cells = u.values[:-1]
+        left = np.zeros_like(u.values)
+        right = np.zeros_like(u.values)
+        for k in range(1, n + 1):
+            left[k] = w[k - 1 :: -1] @ cells[:k]
+        for k in range(n):
+            right[k] = w[: n - k] @ cells[k:]
+        for got, want in (
+            (rl_integral_left(u, alpha).values, left),
+            (rl_integral_right(u, alpha).values, right),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.all(rl_integral_right(u, alpha).values[-1] == 0.0)
+        assert np.all(rl_integral_left(u, alpha).values[0] == 0.0)
+
+
+class TestKernelCache:
+    def test_weights_and_spectrum_read_only(self):
+        w = FracWeights.build(0.6, 0.01, 50).weights
+        cached_w, spectrum = _kernel(0.6, 0.01, 50)
+        assert w is cached_w
+        assert not cached_w.flags.writeable
+        assert not spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_same_cell_count_different_interval(self, alpha):
+        short, long = Grid(0.0, 1.0, 64), Grid(0.0, 2.0, 64)
+        w_short = FracWeights.build(alpha, short.h, 64).weights
+        w_long = FracWeights.build(alpha, long.h, 64).weights
+        assert np.allclose(w_long, 2.0**alpha * w_short, rtol=1e-14)
+        for grid in (short, long, short):
+            out = rl_integral_left(GridFn.constant(grid, 1.0), alpha)
+            expected = grid.b**alpha / math.gamma(alpha + 1.0)
+            assert math.isclose(out.values[-1, 0], expected, rel_tol=1e-12)

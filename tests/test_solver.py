@@ -76,6 +76,23 @@ class TestGradient:
         _, gy = objective_gradient(spec, traj)
         assert np.array_equal(gy, np.zeros(1))
 
+    def test_matches_gateaux_three_dims_odd_grid(self, rng):
+        spec = ProblemSpec(
+            alpha=0.7,
+            beta=0.8,
+            grid=Grid(0.0, 1.5, 101),
+            dim=3,
+            phi=parse("xa1*xb2 + 0.5*xb3^2 - xb1", 3),
+            lagrangian=parse(
+                "0.5*(u1^2 + u2^2 + u3^2) + x1*x2 + 0.3*sin(x3)*u1 + 0.1*t*x2^2", 3
+            ),
+        )
+        traj = random_traj(rng, spec.grid, dim=3)
+        for _ in range(5):
+            eta = random_traj(rng, spec.grid, dim=3)
+            d = gateaux_first(spec, traj, eta)
+            assert math.isclose(grad_dot(spec, traj, eta), d, rel_tol=1e-12, abs_tol=1e-12)
+
     def test_last_control_node_inert(self, rng):
         spec = random_quadratic_spec(rng)
         traj = random_traj(rng, spec.grid)
@@ -186,6 +203,23 @@ class TestSolve:
         assert r1.objective == r2.objective
         assert np.array_equal(r1.traj.u.values, r2.traj.u.values)
         assert np.array_equal(r1.traj.y, r2.traj.y)
+
+    def test_trial_point_outside_domain_is_rejected_step(self):
+        # the first line-search trial drives 1 + x1 negative; the log is then
+        # not finite there and the step must shrink instead of raising
+        spec = ProblemSpec(
+            alpha=0.8,
+            beta=1.0,
+            grid=Grid(0.0, 1.0, 128),
+            dim=1,
+            phi=parse("5*xb1", 1),
+            lagrangian=parse("0.5*u1^2 - log(1 + x1)", 1),
+        )
+        start = bolza_eval(spec, default_initial(spec))
+        result = solve(spec, SolverConfig(max_iters=20))
+        assert result.iterations == 20
+        assert np.isfinite(result.objective)
+        assert result.objective < start
 
     def test_iteration_budget_respected(self):
         spec = classic_spec(n_cells=128)
