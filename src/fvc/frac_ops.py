@@ -84,6 +84,9 @@ class GridFn:
         v = np.asarray(self.values, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
+        if not v.flags.owndata:
+            # a view's base may stay writable; values must never change
+            v = v.copy()
         if v.shape[0] != self.grid.n_nodes:
             raise GridMismatchError(
                 f"expected {self.grid.n_nodes} rows, got {v.shape[0]}"

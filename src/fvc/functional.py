@@ -8,6 +8,7 @@ where the weight is unbounded at b.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,13 +67,19 @@ class SecondDiffData:
 # -- quadrature weights ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def beta_cell_weights(grid: Grid, beta: float) -> np.ndarray:
-    """Exact integrals of (b-s)^(beta-1)/Gamma(beta) over each cell."""
+    """Exact integrals of (b-s)^(beta-1)/Gamma(beta) over each cell.
+
+    Cached per (grid, beta); the returned array is read-only.
+    """
     if beta <= 0:
         raise ValueError(f"need beta > 0, got {beta}")
     t = grid.nodes()
     gaps = (grid.b - t).clip(min=0.0)
-    return (gaps[:-1] ** beta - gaps[1:] ** beta) / math.gamma(beta + 1.0)
+    w = (gaps[:-1] ** beta - gaps[1:] ** beta) / math.gamma(beta + 1.0)
+    w.setflags(write=False)
+    return w
 
 
 # -- expression plumbing --------------------------------------------------------

@@ -189,7 +189,9 @@ class TrajectoryPair:
     radius: Optional[float] = None  # optional sup-norm bound on u
 
     def __post_init__(self):
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
+        # a private copy: y may be a view into a caller's writable array, and
+        # the memoized states below are only sound while y cannot change
+        y = np.array(self.y, dtype=float, ndmin=1)
         if y.shape != (self.u.dim,):
             raise ValueError(f"y has shape {y.shape}, control has dim {self.u.dim}")
         if not np.all(np.isfinite(y)):
@@ -198,9 +200,19 @@ class TrajectoryPair:
             raise ValueError("control exceeds the declared radius bound")
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_states", {})
 
     def state(self, alpha: float) -> GridFn:
-        return reconstruct_trajectory(self.u, self.y, alpha)
+        """x = y + I^alpha[u], computed once per alpha for this pair.
+
+        The pair is frozen and u.values and y are read-only, so the cached
+        state can never go stale; dataclasses.replace builds a new pair with
+        an empty cache.
+        """
+        x = self._states.get(alpha)
+        if x is None:
+            x = self._states[alpha] = reconstruct_trajectory(self.u, self.y, alpha)
+        return x
 
 
 def validate(spec: ProblemSpec) -> list:

@@ -133,31 +133,40 @@ def _pack(spec: ProblemSpec, traj: TrajectoryPair) -> np.ndarray:
 
 
 def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float):
-    """Value and gradient of Phi + rho * dist^2 to the target set."""
+    """Value of Phi + rho * dist^2 to the target set, and a thunk for its gradient.
+
+    The line search needs only values; the gradient is computed when a trial
+    point is accepted, from the same trajectory and its memoized state.
+    """
     traj = _traj_from(spec, z)
     value = bolza_eval(spec, traj)
-    grad_u, grad_y = objective_gradient(spec, traj)
-    gu = grad_u.values[:-1].copy()
-    gy = grad_y.copy()
-    feas = 0.0
-    if spec.constraint_map is not None and rho > 0.0:
+    constrained = spec.constraint_map is not None and rho > 0.0
+    if constrained:
         x = traj.state(spec.alpha)
         xa, xb = x.values[0], x.values[-1]
         g_val = constraint_value(spec, xa, xb)
         feas = dist(spec.target_set, g_val)
         value += rho * feas * feas
-        outer = rho * dist_sq_gradient(spec.target_set, g_val)
-        ep = endpoint_env(spec, xa, xb)
-        ga = eval_matrix(spec.d_constraints("xa"), ep)
-        gb = eval_matrix(spec.d_constraints("xb"), ep)
-        pull_a = ga.T @ outer  # d/dxa, and xa = y
-        pull_b = gb.T @ outer  # d/dxb; xb = y + sum_j w_alpha[n-1-j] u_j
-        w_alpha = FracWeights.build(spec.alpha, spec.grid.h, spec.grid.n_cells).weights
-        gu += w_alpha[::-1, None] * pull_b[None, :]
-        gy += pull_a + pull_b
     if not np.isfinite(value):
         raise SolverError("penalized objective is not finite")
-    return value, np.concatenate([gu.ravel(), gy]), feas
+
+    def gradient():
+        grad_u, grad_y = objective_gradient(spec, traj)
+        gu = grad_u.values[:-1].copy()
+        gy = grad_y.copy()
+        if constrained:
+            outer = rho * dist_sq_gradient(spec.target_set, g_val)
+            ep = endpoint_env(spec, xa, xb)
+            ga = eval_matrix(spec.d_constraints("xa"), ep)
+            gb = eval_matrix(spec.d_constraints("xb"), ep)
+            pull_a = ga.T @ outer  # d/dxa, and xa = y
+            pull_b = gb.T @ outer  # d/dxb; xb = y + sum_j w_alpha[n-1-j] u_j
+            w_alpha = FracWeights.build(spec.alpha, spec.grid.h, spec.grid.n_cells).weights
+            gu += w_alpha[::-1, None] * pull_b[None, :]
+            gy += pull_a + pull_b
+        return np.concatenate([gu.ravel(), gy])
+
+    return value, gradient
 
 
 def _bounds(spec: ProblemSpec, radius: float):
@@ -170,11 +179,17 @@ def _bounds(spec: ProblemSpec, radius: float):
 def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
     """Projected limited-memory quasi-Newton descent with backtracking.
 
-    Accepted steps are strictly non-increasing in the objective. Returns
+    fun(z) returns (value, gradient thunk); the thunk is called only at the
+    start point and at accepted trial points. Accepted steps are strictly
+    non-increasing in the objective. The line search fails, and the descent
+    stops, once a trial point rounds back onto z or the step falls below
+    machine epsilon times the unit quasi-Newton step. Returns
     (z, value, gradient, iterations, converged).
     """
     z = np.clip(z, lo, hi)
-    f, g, _ = fun(z)
+    f, grad = fun(z)
+    g = grad()
+    eps = np.finfo(float).eps
     s_hist, y_hist = [], []
     it = 0
     while it < max_iters:
@@ -187,17 +202,18 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
             s_hist, y_hist = [], []
         step = 1.0
         accepted = False
-        while step > 1e-18:
+        while step >= eps:
             z_new = np.clip(z + step * d, lo, hi)
+            if np.array_equal(z_new, z):
+                break  # the Armijo test would pass as 0 <= 0 with no progress
             try:
-                f_new, g_new, _ = fun(z_new)
+                f_new, grad = fun(z_new)
+                if f_new <= f + cfg.sufficient_decrease * float(g @ (z_new - z)):
+                    g_new = grad()
+                    accepted = True
+                    break
             except (SolverError, EvalError):
-                # a trial point outside the integrand's domain is a rejected step
-                step *= cfg.shrink
-                continue
-            if f_new <= f + cfg.sufficient_decrease * float(g @ (z_new - z)):
-                accepted = True
-                break
+                pass  # a trial point outside the integrand's domain is a rejected step
             step *= cfg.shrink
         it += 1
         if not accepted:

@@ -91,6 +91,12 @@ class TestSolveCommand:
         assert main(["solve", path, "--max-iters", "20"]) == 2
         assert "objective" in capsys.readouterr().out
 
+    def test_zero_progress_exit_code(self, problem_file):
+        path = problem_file(
+            alpha=0.8, phi="5*xb1", lagrangian="0.5*u1^2 - log(1 + x1)", grid={"n_cells": 128}
+        )
+        assert main(["solve", path]) == 2
+
     def test_evaluation_error_reported(self, problem_file, capsys):
         # the default start x = 0 is outside the domain of log(x1)
         assert main(["solve", problem_file(lagrangian="0.5*u1^2 - log(x1)")]) == 1

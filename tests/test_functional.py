@@ -87,6 +87,19 @@ class TestBetaCellWeights:
         assert np.all(np.isfinite(w))
         assert np.all(w > 0)
 
+    def test_cached_read_only(self):
+        g = Grid(0.0, 1.0, 32)
+        w = beta_cell_weights(g, 0.6)
+        assert beta_cell_weights(Grid(0.0, 1.0, 32), 0.6) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_nonpositive_order_rejected(self, beta):
+        with pytest.raises(ValueError):
+            beta_cell_weights(Grid(0.0, 1.0, 32), beta)
+
 
 class TestBolzaEval:
     def test_zero_trajectory(self):

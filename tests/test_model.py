@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from fvc import (
     WholeSpace,
     evaluate,
     parse,
+    reconstruct_trajectory,
     standard_constraint,
     validate,
 )
@@ -188,3 +191,36 @@ class TestTrajectoryPair:
         traj = TrajectoryPair(GridFn.constant(g, 1.0), np.array([4.0]))
         for alpha in (0.5, 1.0):
             assert traj.state(alpha).values[0, 0] == 4.0
+
+    def test_state_memoized_per_alpha(self):
+        g = Grid(0.0, 1.0, 16)
+        traj = TrajectoryPair(GridFn(g, np.cos(3.0 * g.nodes())), np.array([0.5]))
+        x_half = traj.state(0.5)
+        assert traj.state(0.5) is x_half
+        x_one = traj.state(1.0)
+        assert x_one is not x_half
+        assert not np.array_equal(x_one.values, x_half.values)
+        for alpha, x in ((0.5, x_half), (1.0, x_one)):
+            fresh = reconstruct_trajectory(traj.u, traj.y, alpha)
+            assert np.array_equal(x.values, fresh.values)
+        assert not x_half.values.flags.writeable
+
+    def test_replace_does_not_inherit_state(self):
+        g = Grid(0.0, 1.0, 16)
+        traj = TrajectoryPair(GridFn.constant(g, 1.0), np.array([0.0]))
+        before = traj.state(0.7)
+        moved = dataclasses.replace(traj, y=np.array([2.0]))
+        assert np.array_equal(moved.state(0.7).values, before.values + 2.0)
+        assert traj.state(0.7) is before
+
+    def test_state_independent_of_callers_buffers(self):
+        g = Grid(0.0, 1.0, 8)
+        u_buffer = np.zeros((g.n_nodes, 2))
+        y_buffer = np.zeros(3)
+        traj = TrajectoryPair(GridFn(g, u_buffer[:, 1:]), y_buffer[2:])
+        before = traj.state(0.5)
+        u_buffer[:, 1] = 1.0
+        y_buffer[2] = 5.0
+        assert np.all(traj.u.values == 0.0) and traj.y[0] == 0.0
+        assert traj.state(0.5) is before
+        assert np.array_equal(before.values, reconstruct_trajectory(traj.u, traj.y, 0.5).values)

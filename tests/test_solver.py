@@ -11,6 +11,7 @@ from fvc import (
     SolverConfig,
     TrajectoryPair,
     bolza_eval,
+    build_report,
     default_initial,
     gateaux_first,
     nonexistence_diagnostic,
@@ -19,6 +20,8 @@ from fvc import (
     solve,
     standard_constraint,
 )
+from fvc import frac_ops, model
+from fvc import solver as solver_module
 from fvc.solver import _bounds, _descend
 
 from conftest import classic_spec, classic_oracle, oracle_trajectory, zero_trajectory
@@ -107,7 +110,7 @@ class TestDescend:
 
         def fun(z):
             history.append(0.5 * float((z - target) @ (z - target)))
-            return history[-1], z - target, 0.0
+            return history[-1], lambda: z - target
 
         lo = np.full(3, -np.inf)
         hi = np.full(3, np.inf)
@@ -120,7 +123,7 @@ class TestDescend:
 
     def test_respects_bounds(self):
         def fun(z):
-            return 0.5 * float(z @ z) - 3.0 * float(z.sum()), z - 3.0, 0.0
+            return 0.5 * float(z @ z) - 3.0 * float(z.sum()), lambda: z - 3.0
 
         lo, hi = np.full(2, -1.0), np.full(2, 1.0)
         z, f, g, it, converged = _descend(
@@ -128,6 +131,25 @@ class TestDescend:
         )
         assert converged
         assert np.allclose(z, [1.0, 1.0])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_standstill_ends_line_search(self, scale):
+        # a flat objective passes the Armijo test only at a trial point that
+        # rounds back onto z; the descent must stop before taking that step,
+        # through the step floor (scale 1) or the round-back test (scale 1e3)
+        start = np.array([scale, -scale])
+        calls = []
+
+        def fun(z):
+            calls.append(z)
+            return 0.0, lambda: np.array([1.0, -1.0])
+
+        lo, hi = np.full(2, -np.inf), np.full(2, np.inf)
+        z, f, g, it, converged = _descend(fun, start, lo, hi, 1e-10, 500, SolverConfig())
+        assert it == 1
+        assert not converged
+        assert np.array_equal(z, start)
+        assert not any(np.array_equal(c, start) for c in calls[1:])
 
 
 class TestSolve:
@@ -221,11 +243,77 @@ class TestSolve:
         assert np.isfinite(result.objective)
         assert result.objective < start
 
+    def test_zero_progress_stops_early(self):
+        # late in this solve only steps that leave the objective unchanged pass
+        # the Armijo test; the solve must stop instead of using its budget
+        spec = ProblemSpec(
+            alpha=0.8,
+            beta=1.0,
+            grid=Grid(0.0, 1.0, 128),
+            dim=1,
+            phi=parse("5*xb1", 1),
+            lagrangian=parse("0.5*u1^2 - log(1 + x1)", 1),
+        )
+        result = solve(spec)
+        assert result.iterations < 200
+        assert not result.converged
+        assert math.isclose(result.objective, -3.601224389145994, rel_tol=1e-12)
+
+    def test_zero_step_stall_stops_early(self):
+        # the last penalty stage reaches steps that round back onto z; it used
+        # to accept them until the whole 5000-iteration budget was spent
+        g, s = standard_constraint("fixed_both", 1, 0.0, 1.0)
+        spec = dataclasses.replace(
+            classic_spec(n_cells=128, alpha=0.5), phi=parse("0", 1),
+            constraint_map=g, target_set=s,
+        )
+        result = solve(spec)
+        assert result.iterations < 500
+        assert math.isclose(result.objective, 0.20197346204099917, rel_tol=1e-12)
+
     def test_iteration_budget_respected(self):
         spec = classic_spec(n_cells=128)
         result = solve(spec, SolverConfig(max_iters=1))
         assert result.iterations <= 1
         assert not result.converged
+
+
+class TestEvaluationCounts:
+    """Each trial point builds its state once; gradients only at accepted points."""
+
+    @staticmethod
+    def _count(monkeypatch, holder, name, counts):
+        original = getattr(holder, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(holder, name, counted)
+
+    def test_constrained_solve(self, monkeypatch):
+        g, s = standard_constraint("fixed_both", 1, 0.0, 1.0)
+        spec = dataclasses.replace(
+            classic_spec(n_cells=128, alpha=0.7), phi=parse("0", 1),
+            constraint_map=g, target_set=s,
+        )
+        config = SolverConfig()
+        counts = {}
+        self._count(monkeypatch, frac_ops, "rl_integral_left", counts)
+        self._count(monkeypatch, model, "reconstruct_trajectory", counts)
+        self._count(monkeypatch, solver_module, "bolza_eval", counts)
+        self._count(monkeypatch, solver_module, "objective_gradient", counts)
+        result = solve(spec, config)
+        assert result.iterations < config.max_iters
+        assert counts["reconstruct_trajectory"] == counts["rl_integral_left"]
+        assert counts["rl_integral_left"] <= counts["bolza_eval"] + 1
+        n_stages = len(config.epsilon_schedule)
+        assert counts["objective_gradient"] == result.iterations + n_stages
+
+        counts.clear()
+        fresh = TrajectoryPair(result.traj.u, result.traj.y)
+        build_report(spec, fresh)
+        assert counts["rl_integral_left"] == 1
 
 
 class TestNonexistenceDiagnostic:
