@@ -8,7 +8,6 @@ exhausted, 3 residuals above tolerance.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -154,19 +153,19 @@ def load_trajectory(path: str, spec: ProblemSpec) -> TrajectoryPair:
         raise InputError(f"{path}: missing '# y = ...' metadata line")
     if len(y) != spec.dim:
         raise InputError(f"{path}: y has {len(y)} entries, problem dim is {spec.dim}")
-    reader = csv.reader(rows)
-    header = next(reader, None)
     expected = ["t"] + [f"u_{i + 1}" for i in range(spec.dim)]
-    if header is None or [h.strip() for h in header] != expected:
+    if not rows or [h.strip().strip('"') for h in rows[0].split(",")] != expected:
         raise InputError(f"{path}: expected header {','.join(expected)}")
-    try:
-        data = np.array([[float(v) for v in row] for row in reader])
-    except ValueError as exc:
-        raise InputError(f"{path}: non-numeric entry: {exc}") from exc
-    if data.shape != (spec.grid.n_nodes, spec.dim + 1):
+    shape = (spec.grid.n_nodes, spec.dim + 1)
+    data = np.empty((len(rows) - 1, 0))
+    if data.shape[0] == shape[0]:  # counted first: loadtxt warns on an input without data
+        try:
+            data = np.loadtxt(rows[1:], delimiter=",", quotechar='"', ndmin=2)
+        except ValueError as exc:
+            raise InputError(f"{path}: non-numeric entry: {exc}") from exc
+    if data.shape != shape:
         raise InputError(
-            f"{path}: expected {spec.grid.n_nodes} rows of {spec.dim + 1} columns, "
-            f"got {data.shape[0]}"
+            f"{path}: expected {shape[0]} rows of {shape[1]} columns, got {data.shape[0]}"
         )
     t = data[:, 0]
     if np.any(np.diff(t) <= 0):
@@ -177,12 +176,12 @@ def load_trajectory(path: str, spec: ProblemSpec) -> TrajectoryPair:
 
 
 def write_trajectory(path: str, traj: TrajectoryPair):
+    header = ["t"] + [f"u_{i + 1}" for i in range(traj.u.dim)]
+    table = np.column_stack([traj.u.grid.nodes(), traj.u.values]).tolist()
     with open(path, "w", newline="") as fh:
         fh.write("# y = " + ",".join(repr(float(v)) for v in traj.y) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"u_{i + 1}" for i in range(traj.u.dim)])
-        for t, row in zip(traj.u.grid.nodes(), traj.u.values):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in table)
 
 
 # -- subcommands -----------------------------------------------------------------

@@ -84,65 +84,42 @@ class ResidualReport:
 # -- shared profiles -------------------------------------------------------------
 
 
-def _beta_weight_nodes(grid: Grid, beta: float) -> np.ndarray:
-    """(b-t)^(beta-1)/Gamma(beta) at the nodes; the t=b entry is zeroed when
-    beta < 1 (it multiplies cell data that the quadrature never reads)."""
+def _node_weights(grid: Grid, order: float) -> np.ndarray:
+    """(b-t)^(order-1)/Gamma(order) at the nodes; the t=b entry, where the
+    weight is unbounded for order < 1, is zeroed (no quadrature reads it)."""
     gaps = (grid.b - grid.nodes()).clip(min=0.0)
     with np.errstate(divide="ignore"):
-        w = gaps ** (beta - 1.0) / math.gamma(beta)
-    if beta < 1.0:
+        w = gaps ** (order - 1.0) / math.gamma(order)
+    if order < 1.0:
         w[-1] = 0.0
     return w
 
 
-def _weighted_profiles(spec: ProblemSpec, traj: TrajectoryPair):
-    """w = weight * d2L and the plain d1L profile along the trajectory."""
+def _right_terms(spec: ProblemSpec, traj: TrajectoryPair):
+    """The state x, the d1L profile and iw = I^(1-alpha)_right[weight * d2L].
+
+    iw is the one right integral that the EL residual, the multiplier and both
+    transversality norms share; build_report computes it once.
+    """
     x = traj.state(spec.alpha)
     env = running_env(spec, x, traj.u)
     n_nodes = spec.grid.n_nodes
     d1 = eval_profile(spec.d_lagrangian("x"), env, n_nodes)
     d2 = eval_profile(spec.d_lagrangian("u"), env, n_nodes)
-    weight = _beta_weight_nodes(spec.grid, spec.beta)
-    w = GridFn(spec.grid, weight[:, None] * d2)
-    return x, w, d1
+    w = GridFn(spec.grid, _node_weights(spec.grid, spec.beta)[:, None] * d2)
+    return x, d1, rl_integral_right(w, 1.0 - spec.alpha)
 
 
-def _tail_integral(grid: Grid, beta: float, d1: np.ndarray) -> np.ndarray:
-    """int_t^b (b-s)^(beta-1)/Gamma(beta) d1L(s) ds at every node t."""
-    cells = beta_cell_weights(grid, beta)[:, None] * d1[:-1]
+def _el_profile(spec: ProblemSpec, d1: np.ndarray, iw: GridFn):
+    # tail(t) = int_t^b (b-s)^(beta-1)/Gamma(beta) d1L(s) ds at every node t
+    cells = beta_cell_weights(spec.grid, spec.beta)[:, None] * d1[:-1]
     tail = np.zeros_like(d1)
     tail[:-1] = np.cumsum(cells[::-1], axis=0)[::-1]
-    return tail
-
-
-# -- the residuals ---------------------------------------------------------------
-
-
-def el_residual(spec: ProblemSpec, traj: TrajectoryPair):
-    """Integrated Euler-Lagrange residual profile and its sup norm.
-
-    r(t) = I^(1-alpha)_right[w](t) - I^(1-alpha)_right[w](b)
-           + int_t^b (b-s)^(beta-1)/Gamma(beta) d1L(s) ds,
-    which vanishes identically along stationary trajectories.
-    """
-    x, w, d1 = _weighted_profiles(spec, traj)
-    iw = rl_integral_right(w, 1.0 - spec.alpha)
-    tail = _tail_integral(spec.grid, spec.beta, d1)
     r = iw.values - iw.values[-1] + tail
-    profile = GridFn(spec.grid, r)
-    return profile, float(np.max(np.abs(r)))
+    return GridFn(spec.grid, r), float(np.max(np.abs(r)))
 
 
-def transversality_residuals(spec: ProblemSpec, traj: TrajectoryPair, psi=None):
-    """Norms of the endpoint stationarity defects at a and b.
-
-    With psi omitted the unconstrained form is checked; otherwise the
-    constraint Jacobians enter with the multiplier. The right integral at b
-    is exactly zero for alpha < 1, so that residual reduces bitwise to the
-    norm of the phi/constraint terms.
-    """
-    x, w, _ = _weighted_profiles(spec, traj)
-    iw = rl_integral_right(w, 1.0 - spec.alpha)
+def _transversality(spec: ProblemSpec, x: GridFn, iw: GridFn, psi=None):
     i_a, i_b = iw.values[0], iw.values[-1]
     ep = endpoint_env(spec, x.values[0], x.values[-1])
     dphi_a = eval_vector(spec.d_phi("xa"), ep)
@@ -162,17 +139,7 @@ def transversality_residuals(spec: ProblemSpec, traj: TrajectoryPair, psi=None):
     return float(np.linalg.norm(vec_a)), float(np.linalg.norm(vec_b))
 
 
-def extract_multiplier(spec: ProblemSpec, traj: TrajectoryPair):
-    """Least-squares multiplier for the constrained transversality system.
-
-    Solves the 2n stacked endpoint equations for psi restricted to the span
-    of the normal cone at g(x(a), x(b)), then checks -psi against the cone.
-    Returns (psi, cone_ok, (residual_a, residual_b)).
-    """
-    if spec.constraint_map is None:
-        raise ValueError("problem has no endpoint constraints")
-    x, w, _ = _weighted_profiles(spec, traj)
-    iw = rl_integral_right(w, 1.0 - spec.alpha)
+def _multiplier(spec: ProblemSpec, x: GridFn, iw: GridFn):
     ep = endpoint_env(spec, x.values[0], x.values[-1])
     ga = eval_matrix(spec.d_constraints("xa"), ep)
     gb = eval_matrix(spec.d_constraints("xb"), ep)
@@ -196,8 +163,46 @@ def extract_multiplier(spec: ProblemSpec, traj: TrajectoryPair):
     # the cone test runs at the nearest feasible point so slightly infeasible
     # numerical candidates still get a meaningful verdict
     cone_ok = in_normal_cone(spec.target_set, g_feas, -psi, tol=1e-6)
-    residuals = transversality_residuals(spec, traj, psi)
-    return psi, cone_ok, residuals
+    return psi, cone_ok, _transversality(spec, x, iw, psi)
+
+
+# -- the residuals ---------------------------------------------------------------
+
+
+def el_residual(spec: ProblemSpec, traj: TrajectoryPair):
+    """Integrated Euler-Lagrange residual profile and its sup norm.
+
+    r(t) = I^(1-alpha)_right[w](t) - I^(1-alpha)_right[w](b)
+           + int_t^b (b-s)^(beta-1)/Gamma(beta) d1L(s) ds,
+    which vanishes identically along stationary trajectories.
+    """
+    _, d1, iw = _right_terms(spec, traj)
+    return _el_profile(spec, d1, iw)
+
+
+def transversality_residuals(spec: ProblemSpec, traj: TrajectoryPair, psi=None):
+    """Norms of the endpoint stationarity defects at a and b.
+
+    With psi omitted the unconstrained form is checked; otherwise the
+    constraint Jacobians enter with the multiplier. The right integral at b
+    is exactly zero for alpha < 1, so that residual reduces bitwise to the
+    norm of the phi/constraint terms.
+    """
+    x, _, iw = _right_terms(spec, traj)
+    return _transversality(spec, x, iw, psi)
+
+
+def extract_multiplier(spec: ProblemSpec, traj: TrajectoryPair):
+    """Least-squares multiplier for the constrained transversality system.
+
+    Solves the 2n stacked endpoint equations for psi restricted to the span
+    of the normal cone at g(x(a), x(b)), then checks -psi against the cone.
+    Returns (psi, cone_ok, (residual_a, residual_b)).
+    """
+    if spec.constraint_map is None:
+        raise ValueError("problem has no endpoint constraints")
+    x, _, iw = _right_terms(spec, traj)
+    return _multiplier(spec, x, iw)
 
 
 def legendre_check(spec: ProblemSpec, traj: TrajectoryPair, tol: float = DEFAULT_LEGENDRE_TOL):
@@ -216,7 +221,7 @@ def legendre_check(spec: ProblemSpec, traj: TrajectoryPair, tol: float = DEFAULT
     for i in range(n):
         for j in range(n):
             hess[:, i, j] = np.broadcast_to(evaluate(rows[i][j], env), (n_nodes,))
-    weight = _beta_weight_nodes(spec.grid, spec.beta)
+    weight = _node_weights(spec.grid, spec.beta)
     sym = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
     eigs = np.linalg.eigvalsh(sym)[:, 0] * weight
     lo, hi = 1, n_nodes if spec.beta >= 1.0 else n_nodes - 1
@@ -283,40 +288,33 @@ def moments(u_left: GridFn, max_k: int) -> np.ndarray:
 # -- assembled report ------------------------------------------------------------
 
 
-def _adjoint_profile(spec: ProblemSpec, traj: TrajectoryPair, psi) -> GridFn:
+def _adjoint_profile(spec: ProblemSpec, x: GridFn, d1: np.ndarray, psi) -> GridFn:
     """Adjoint vector p combining the endpoint weight and the memory term.
 
     The t=b node is zeroed when alpha < 1 (unbounded kernel weight there)."""
     grid = spec.grid
-    x = traj.state(spec.alpha)
-    env = running_env(spec, x, traj.u)
     ep = endpoint_env(spec, x.values[0], x.values[-1])
-    d1 = eval_profile(spec.d_lagrangian("x"), env, grid.n_nodes)
-    weight_beta = _beta_weight_nodes(spec.grid, spec.beta)
-    memory = rl_integral_right(GridFn(grid, weight_beta[:, None] * d1), spec.alpha)
+    weighted_d1 = GridFn(grid, _node_weights(grid, spec.beta)[:, None] * d1)
+    memory = rl_integral_right(weighted_d1, spec.alpha)
     endpoint = eval_vector(spec.d_phi("xb"), ep)
     if psi is not None:
         gb = eval_matrix(spec.d_constraints("xb"), ep)
         endpoint = endpoint - gb.T @ np.asarray(psi, dtype=float)
-    gaps = (grid.b - grid.nodes()).clip(min=0.0)
-    with np.errstate(divide="ignore"):
-        w_alpha = gaps ** (spec.alpha - 1.0) / math.gamma(spec.alpha)
-    if spec.alpha < 1.0:
-        w_alpha[-1] = 0.0
-    return GridFn(grid, w_alpha[:, None] * endpoint[None, :] + memory.values)
+    w_alpha = _node_weights(grid, spec.alpha)[:, None]
+    return GridFn(grid, w_alpha * endpoint[None, :] + memory.values)
 
 
 def build_report(
     spec: ProblemSpec, traj: TrajectoryPair, legendre_tol: float = DEFAULT_LEGENDRE_TOL
 ) -> ResidualReport:
-    """Evaluate every necessary-condition residual for one candidate."""
-    profile, sup = el_residual(spec, traj)
-    psi = None
-    cone_ok = None
+    """Evaluate every necessary-condition residual for one candidate (two right integrals)."""
+    x, d1, iw = _right_terms(spec, traj)
+    profile, sup = _el_profile(spec, d1, iw)
+    psi = cone_ok = None
     if spec.constraint_map is not None:
-        psi, cone_ok, (res_a, res_b) = extract_multiplier(spec, traj)
+        psi, cone_ok, (res_a, res_b) = _multiplier(spec, x, iw)
     else:
-        res_a, res_b = transversality_residuals(spec, traj)
+        res_a, res_b = _transversality(spec, x, iw)
     leg_profile, leg_ok = legendre_check(spec, traj, legendre_tol)
     return ResidualReport(
         el_residual_sup=sup,
@@ -325,7 +323,7 @@ def build_report(
         transversality_b=res_b,
         legendre_min_eig_profile=leg_profile.values[:, 0],
         legendre_ok=leg_ok,
-        adjoint_p=_adjoint_profile(spec, traj, psi),
+        adjoint_p=_adjoint_profile(spec, x, d1, psi),
         psi=psi,
         psi_in_cone=cone_ok,
     )

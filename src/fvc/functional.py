@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .convex import dist
 from .expr import Expr, evaluate
@@ -218,6 +217,8 @@ def _right_double_kernel_at(
     Both weakly singular factors are integrated exactly per cell through the
     regularized incomplete Beta function.
     """
+    from scipy.special import betainc  # deferred: importing scipy.special costs ~0.3 s at start-up
+
     span = grid.b - tau
     t = grid.nodes()
     z = ((t - tau) / span).clip(0.0, 1.0)

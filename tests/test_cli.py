@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fvc import GridFn, TrajectoryPair
-from fvc.cli import load_problem, load_trajectory, main, write_trajectory
+from fvc import Grid, GridFn, TrajectoryPair
+from fvc.cli import InputError, load_problem, load_trajectory, main, write_trajectory
 
 CLASSIC = {
     "alpha": 1.0,
@@ -165,6 +166,83 @@ class TestCheckCommand:
         bad = tmp_path / "shifted.csv"
         bad.write_text("\n".join(rows) + "\n")
         assert main(["check", problem_file(), str(bad)]) == 1
+
+
+class TestTrajectoryCSV:
+    # bytes written by the csv.writer-based writer, including its \r\n line ends
+    GOLDEN = (
+        b"# y = 0.1,-0.3333333333333333\n"
+        b"t,u_1,u_2\r\n"
+        b"0.0,0.1,0.3333333333333333\r\n"
+        b"0.3333333333333333,-2.5e-300,1e+300\r\n"
+        b"0.6666666666666666,-0.0,5e-324\r\n"
+        b"1.0,2.0,-7.25\r\n"
+    )
+
+    @pytest.fixture
+    def spec_3d(self, problem_file):
+        path = problem_file(
+            dim=3, grid={"n_cells": 64}, phi="xb1 + xb2 + xb3",
+            lagrangian="0.5*(u1^2 + u2^2 + u3^2)",
+        )
+        return load_problem(path)
+
+    def write_lines(self, tmp_path, lines, name="edited.csv"):
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_golden_bytes(self, tmp_path):
+        u = np.array([[0.1, 1 / 3], [-2.5e-300, 1e300], [-0.0, 5e-324], [2.0, -7.25]])
+        traj = TrajectoryPair(GridFn(Grid(0.0, 1.0, 3), u), np.array([0.1, -1 / 3]))
+        path = tmp_path / "golden.csv"
+        write_trajectory(str(path), traj)
+        assert path.read_bytes() == self.GOLDEN
+
+    def test_round_trip_is_bitwise(self, spec_3d, tmp_path, rng):
+        scales = 10.0 ** rng.integers(-300, 300, (1, 3))
+        values = rng.standard_normal((spec_3d.grid.n_nodes, 3)) * scales
+        traj = TrajectoryPair(GridFn(spec_3d.grid, values), rng.standard_normal(3))
+        path = str(tmp_path / "traj.csv")
+        write_trajectory(path, traj)
+        back = load_trajectory(path, spec_3d)
+        assert back.u.values.tobytes() == traj.u.values.tobytes()
+        assert back.y.tobytes() == traj.y.tobytes()
+
+    def test_header_only_file(self, problem_file, tmp_path):
+        path = self.write_lines(tmp_path, ["# y = 0.0", "t,u_1"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="rows"):
+                load_trajectory(path, load_problem(problem_file()))
+
+    @pytest.mark.parametrize("edit", ["ragged", "trailing_comma", "underscore_literal"])
+    def test_malformed_row_exit_code(self, problem_file, tmp_path, capsys, edit):
+        spec = load_problem(problem_file())
+        rows = [f"{float(t)!r},0.0" for t in spec.grid.nodes()]
+        rows[7] = {
+            "ragged": rows[7] + ",1.0",
+            "trailing_comma": rows[7] + ",",
+            "underscore_literal": f"{float(spec.grid.nodes()[7])!r},1_0",
+        }[edit]
+        path = self.write_lines(tmp_path, ["# y = 0.0", "t,u_1"] + rows)
+        assert main(["check", problem_file(), path]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_quotes_comments_and_blank_lines_accepted(self, spec_3d, tmp_path, rng):
+        values = rng.standard_normal((spec_3d.grid.n_nodes, 3))
+        traj = TrajectoryPair(GridFn(spec_3d.grid, values), rng.standard_normal(3))
+        plain = str(tmp_path / "plain.csv")
+        write_trajectory(plain, traj)
+        lines = (tmp_path / "plain.csv").read_text().splitlines()
+        fields = lines[5].split(",")
+        lines[5] = ",".join([fields[0], f'"{fields[1]}"'] + fields[2:])
+        lines[1] = '"t",u_1,u_2,"u_3"'
+        lines[20:20] = ["# a comment in the middle", "", "   "]
+        edited = load_trajectory(self.write_lines(tmp_path, lines), spec_3d)
+        expected = load_trajectory(plain, spec_3d)
+        assert edited.u.values.tobytes() == expected.u.values.tobytes()
+        assert edited.y.tobytes() == expected.y.tobytes()
 
 
 class TestSweepCommand:

@@ -270,6 +270,19 @@ class TestMoments:
         assert math.isclose(m[0], 0.5, abs_tol=2e-3)
 
 
+def random_candidate(kind, rng):
+    """A random (u, y) for a free or an endpoint-constrained problem with alpha < 1."""
+    if kind == "free":
+        spec = classic_spec(alpha=0.7, beta=0.8)
+    else:
+        spec = constrained_quadratic("periodic", alpha=0.6, beta=1.3)
+    traj = TrajectoryPair(
+        GridFn(spec.grid, rng.normal(size=(spec.grid.n_nodes, 1))),
+        rng.normal(size=1),
+    )
+    return spec, traj
+
+
 class TestReport:
     def test_json_round_trip(self):
         spec = classic_spec()
@@ -298,3 +311,34 @@ class TestReport:
         assert report.transversality_a >= 0.0
         assert report.transversality_b >= 0.0
         assert np.all(np.isfinite(report.adjoint_p.values))
+
+    @pytest.mark.parametrize("kind", ["free", "constrained"])
+    def test_two_right_integrals_per_report(self, kind, monkeypatch, rng):
+        spec, traj = random_candidate(kind, rng)
+        orders = []
+
+        def counting(f, order):
+            orders.append(order)
+            return rl_integral_right(f, order)
+
+        monkeypatch.setattr("fvc.conditions.rl_integral_right", counting)
+        build_report(spec, traj)
+        assert orders == [pytest.approx(1.0 - spec.alpha), spec.alpha]
+
+    @pytest.mark.parametrize("kind", ["free", "constrained"])
+    def test_report_matches_public_residuals(self, kind, rng):
+        # build_report shares one right integral; the public functions each
+        # compute their own and must agree bitwise
+        spec, traj = random_candidate(kind, rng)
+        report = build_report(spec, traj)
+        profile, sup = el_residual(spec, traj)
+        assert report.el_residual_sup == sup
+        assert np.array_equal(report.el_residual_profile.values, profile.values)
+        if kind == "free":
+            residuals = transversality_residuals(spec, traj)
+        else:
+            psi, cone_ok, residuals = extract_multiplier(spec, traj)
+            assert np.array_equal(report.psi, psi)
+            assert report.psi_in_cone == cone_ok
+            assert transversality_residuals(spec, traj, psi) == residuals
+        assert (report.transversality_a, report.transversality_b) == residuals

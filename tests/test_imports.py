@@ -3,7 +3,26 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import fvc
+from conftest import classic_spec
+
+
+def run_fresh(code):
+    """stdout of `python -c code` in a new interpreter that imports this fvc."""
+    src = str(Path(fvc.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return out.stdout.strip()
 
 
 def test_import_does_not_load_scipy_signal():
@@ -20,3 +39,31 @@ def test_import_does_not_load_scipy_signal():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    # scipy.special costs about 0.3 s at start-up, and solve, check and
+    # sweep-alpha never need it
+    code = (
+        "import sys, fvc, fvc.cli\n"
+        "print([m for m in ('scipy', 'scipy.special', 'scipy.signal') if m in sys.modules])"
+    )
+    assert run_fresh(code) == "[]"
+
+
+def test_needle_sensitivity_in_fresh_process():
+    # the first needle_sensitivity call imports scipy.special on demand
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from conftest import classic_spec\n"
+        "from fvc import GridFn, TrajectoryPair, needle_sensitivity\n"
+        "spec = classic_spec(alpha=0.6, beta=0.8)\n"
+        "u = GridFn(spec.grid, np.cos(3.0 * spec.grid.nodes()))\n"
+        "value = needle_sensitivity(spec, TrajectoryPair(u, np.array([0.2])), 0.5, [1.5])\n"
+        "print(value.hex(), 'scipy.special' in sys.modules)"
+    )
+    spec = classic_spec(alpha=0.6, beta=0.8)
+    u = fvc.GridFn(spec.grid, np.cos(3.0 * spec.grid.nodes()))
+    expected = fvc.needle_sensitivity(spec, fvc.TrajectoryPair(u, np.array([0.2])), 0.5, [1.5])
+    assert run_fresh(code) == f"{expected.hex()} True"
