@@ -145,7 +145,10 @@ def load_trajectory(path: str, spec: ProblemSpec) -> TrajectoryPair:
     for line in lines:
         if line.startswith("#"):
             if "y =" in line:
-                y = [float(v) for v in line.split("=", 1)[1].split(",")]
+                try:
+                    y = [float(v) for v in line.split("=", 1)[1].split(",")]
+                except ValueError as exc:
+                    raise InputError(f"{path}: bad '# y = ...' line: {exc}") from exc
             continue
         if line.strip():
             rows.append(line)
@@ -172,7 +175,10 @@ def load_trajectory(path: str, spec: ProblemSpec) -> TrajectoryPair:
         raise InputError(f"{path}: t column must be strictly increasing")
     if np.max(np.abs(t - spec.grid.nodes())) > 1e-9:
         raise InputError(f"{path}: t column does not match the problem grid")
-    return TrajectoryPair(GridFn(spec.grid, data[:, 1:]), np.array(y))
+    try:
+        return TrajectoryPair(GridFn(spec.grid, data[:, 1:]), np.array(y))
+    except ValueError as exc:  # a nan or inf in y or in a control value
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def write_trajectory(path: str, traj: TrajectoryPair):

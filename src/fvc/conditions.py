@@ -17,17 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .convex import in_normal_cone, normal_cone_basis, project
-from .expr import evaluate
 from .frac_ops import Grid, GridFn, rl_integral_right
-from .functional import (
-    beta_cell_weights,
-    constraint_value,
-    endpoint_env,
-    eval_matrix,
-    eval_profile,
-    eval_vector,
-    running_env,
-)
+from .functional import constraint_value
 from .model import ProblemSpec, TrajectoryPair
 
 __all__ = [
@@ -102,17 +93,14 @@ def _right_terms(spec: ProblemSpec, traj: TrajectoryPair):
     transversality norms share; build_report computes it once.
     """
     x = traj.state(spec.alpha)
-    env = running_env(spec, x, traj.u)
-    n_nodes = spec.grid.n_nodes
-    d1 = eval_profile(spec.d_lagrangian("x"), env, n_nodes)
-    d2 = eval_profile(spec.d_lagrangian("u"), env, n_nodes)
+    d1, d2 = spec._plan.running(x, traj.u, "L_x", "L_u")
     w = GridFn(spec.grid, _node_weights(spec.grid, spec.beta)[:, None] * d2)
     return x, d1, rl_integral_right(w, 1.0 - spec.alpha)
 
 
 def _el_profile(spec: ProblemSpec, d1: np.ndarray, iw: GridFn):
     # tail(t) = int_t^b (b-s)^(beta-1)/Gamma(beta) d1L(s) ds at every node t
-    cells = beta_cell_weights(spec.grid, spec.beta)[:, None] * d1[:-1]
+    cells = spec._plan.w_beta[:, None] * d1[:-1]
     tail = np.zeros_like(d1)
     tail[:-1] = np.cumsum(cells[::-1], axis=0)[::-1]
     r = iw.values - iw.values[-1] + tail
@@ -121,9 +109,8 @@ def _el_profile(spec: ProblemSpec, d1: np.ndarray, iw: GridFn):
 
 def _transversality(spec: ProblemSpec, x: GridFn, iw: GridFn, psi=None):
     i_a, i_b = iw.values[0], iw.values[-1]
-    ep = endpoint_env(spec, x.values[0], x.values[-1])
-    dphi_a = eval_vector(spec.d_phi("xa"), ep)
-    dphi_b = eval_vector(spec.d_phi("xb"), ep)
+    xa, xb = x.values[0], x.values[-1]
+    dphi_a, dphi_b = spec._plan.endpoint(xa, xb, "phi_a", "phi_b")
     vec_a = i_a - dphi_a
     vec_b = i_b + dphi_b
     if psi is not None:
@@ -132,28 +119,26 @@ def _transversality(spec: ProblemSpec, x: GridFn, iw: GridFn, psi=None):
             raise ValueError(
                 f"psi has shape {psi.shape}, problem has {spec.n_constraints} constraints"
             )
-        ga = eval_matrix(spec.d_constraints("xa"), ep)
-        gb = eval_matrix(spec.d_constraints("xb"), ep)
+        ga, gb = spec._plan.endpoint(xa, xb, "g_a", "g_b")
         vec_a = vec_a + ga.T @ psi
         vec_b = vec_b - gb.T @ psi
     return float(np.linalg.norm(vec_a)), float(np.linalg.norm(vec_b))
 
 
 def _multiplier(spec: ProblemSpec, x: GridFn, iw: GridFn):
-    ep = endpoint_env(spec, x.values[0], x.values[-1])
-    ga = eval_matrix(spec.d_constraints("xa"), ep)
-    gb = eval_matrix(spec.d_constraints("xb"), ep)
+    plan = spec._plan
+    xa, xb = x.values[0], x.values[-1]
+    ga, gb = plan.endpoint(xa, xb, "g_a", "g_b")
     dg = np.hstack([ga, gb])
     sv = np.linalg.svd(dg, compute_uv=False)
     if sv.size == 0 or sv[-1] < REGULARITY_SV_TOL:
         raise RegularityError(
             f"constraint Jacobian is rank deficient (smallest singular value {sv[-1] if sv.size else 0.0:.2e})"
         )
-    g_val = constraint_value(spec, x.values[0], x.values[-1])
+    g_val = constraint_value(spec, xa, xb)
     g_feas = project(spec.target_set, g_val)
     basis = normal_cone_basis(spec.target_set, g_feas)
-    dphi_a = eval_vector(spec.d_phi("xa"), ep)
-    dphi_b = eval_vector(spec.d_phi("xb"), ep)
+    dphi_a, dphi_b = plan.endpoint(xa, xb, "phi_a", "phi_b")
     system = np.vstack([ga.T, -gb.T])
     rhs = np.concatenate([dphi_a - iw.values[0], -(dphi_b + iw.values[-1])])
     psi = np.zeros(spec.n_constraints)
@@ -214,13 +199,8 @@ def legendre_check(spec: ProblemSpec, traj: TrajectoryPair, tol: float = DEFAULT
     (profile, min over checked nodes >= -tol).
     """
     x = traj.state(spec.alpha)
-    env = running_env(spec, x, traj.u)
-    n, n_nodes = spec.dim, spec.grid.n_nodes
-    hess = np.empty((n_nodes, n, n))
-    rows = spec.d2_lagrangian("u", "u")
-    for i in range(n):
-        for j in range(n):
-            hess[:, i, j] = np.broadcast_to(evaluate(rows[i][j], env), (n_nodes,))
+    (hess,) = spec._plan.running(x, traj.u, "L_uu")
+    n_nodes = spec.grid.n_nodes
     weight = _node_weights(spec.grid, spec.beta)
     sym = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
     eigs = np.linalg.eigvalsh(sym)[:, 0] * weight
@@ -293,12 +273,12 @@ def _adjoint_profile(spec: ProblemSpec, x: GridFn, d1: np.ndarray, psi) -> GridF
 
     The t=b node is zeroed when alpha < 1 (unbounded kernel weight there)."""
     grid = spec.grid
-    ep = endpoint_env(spec, x.values[0], x.values[-1])
+    xa, xb = x.values[0], x.values[-1]
     weighted_d1 = GridFn(grid, _node_weights(grid, spec.beta)[:, None] * d1)
     memory = rl_integral_right(weighted_d1, spec.alpha)
-    endpoint = eval_vector(spec.d_phi("xb"), ep)
+    (endpoint,) = spec._plan.endpoint(xa, xb, "phi_b")
     if psi is not None:
-        gb = eval_matrix(spec.d_constraints("xb"), ep)
+        (gb,) = spec._plan.endpoint(xa, xb, "g_b")
         endpoint = endpoint - gb.T @ np.asarray(psi, dtype=float)
     w_alpha = _node_weights(grid, spec.alpha)[:, None]
     return GridFn(grid, w_alpha * endpoint[None, :] + memory.values)

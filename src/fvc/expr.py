@@ -9,13 +9,17 @@ folding.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Expr", "parse", "differentiate", "evaluate", "free_variables", "ParseError", "EvalError"]
+__all__ = [
+    "Expr", "parse", "differentiate", "evaluate", "compile_group", "free_variables",
+    "ParseError", "EvalError",
+]
 
 _FUNCS = {
     "sin": np.sin,
@@ -195,26 +199,16 @@ class _Parser:
         self.next()
 
     def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                rhs = self.parse_term()
-                node = Bin(text, node, rhs)
-            else:
-                return node
+        return self._left_assoc("+-", self.parse_term)
 
     def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                rhs = self.parse_unary()
-                node = Bin(text, node, rhs)
-            else:
-                return node
+        return self._left_assoc("*/", self.parse_unary)
+
+    def _left_assoc(self, ops: str, operand) -> Expr:
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            node = Bin(self.next()[1], node, operand())
+        return node
 
     def parse_unary(self) -> Expr:
         kind, text, _ = self.peek()
@@ -294,48 +288,91 @@ def evaluate(e: Expr, env: dict):
     Raises EvalError on unbound variables and on any non-finite result
     (division by zero, log/sqrt of a negative argument, overflow, ...).
     """
-    with np.errstate(all="ignore"):
-        out = _eval(e, env)
-    if not np.all(np.isfinite(out)):
-        raise EvalError(f"non-finite value while evaluating {to_string(e)!r}")
-    return out
+    names, consts = _leaves((e,))
+    bound = tuple(name for name in names if name in env)
+    return _compiled((e,), bound, consts)(*[env[name] for name in bound])[0]
 
 
-def _eval(e: Expr, env: dict):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Neg):
-        return -_eval(e.arg, env)
-    if isinstance(e, Call):
-        return _FUNCS[e.fn](_eval(e.arg, env))
-    left = _eval(e.left, env)
-    right = _eval(e.right, env)
-    if e.op == "+":
-        return left + right
-    if e.op == "-":
-        return left - right
-    if e.op == "*":
-        return left * right
-    if e.op == "/":
-        return np.true_divide(left, right)
-    return np.power(left, right)
+def compile_group(exprs: tuple, names: tuple):
+    """One function fn(*values) returning what evaluate gives for each of exprs
+    with values bound to names in order. It makes the numpy calls of a tree
+    walk, in the same order, under one np.errstate. Functions are cached by
+    the value of (exprs, names), so an equal problem parsed again reuses them.
+    """
+    exprs = tuple(exprs)
+    return _compiled(exprs, tuple(names), _leaves(exprs)[1])
+
+
+def _leaves(exprs) -> tuple:
+    """Variable names in order of first use, and the type and bits of each
+    constant: Const(0.0) == Const(-0.0) as trees, but they evaluate apart."""
+    names, consts = {}, []
+    stack = list(reversed(exprs))
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Const):
+            v = e.value
+            consts.append((type(v), float.hex(v) if isinstance(v, float) else repr(v)))
+        elif isinstance(e, Var):
+            names[e.name] = None
+        else:
+            stack += (e.arg,) if isinstance(e, (Neg, Call)) else (e.right, e.left)
+    return tuple(names), tuple(consts)
+
+
+_BINOPS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_div({}, {})"}
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(exprs: tuple, names: tuple, consts: tuple):
+    """Generate and compile the function of compile_group; consts only keys the cache.
+
+    The source is built from generated names and the templates of _BINOPS
+    alone: constants, functions and messages are bound as values.
+    """
+    scope = {"_errstate": np.errstate, "_isfinite": np.isfinite, "_div": np.true_divide,
+             "_pow": np.power, "_EvalError": EvalError}
+    args = {name: f"_a{i}" for i, name in enumerate(names)}
+    body = []
+
+    def bind(value) -> str:
+        key = f"_k{len(scope)}"
+        scope[key] = value
+        return key
+
+    def emit(e: Expr) -> str:
+        if isinstance(e, Const):
+            return bind(e.value)
+        if isinstance(e, Var):
+            if e.name in args:
+                return args[e.name]
+            body.append(f"raise _EvalError({bind(f'unbound variable {e.name!r}')})")
+            return "None"  # the code after the raise never runs
+        if isinstance(e, Neg):
+            code = f"-{emit(e.arg)}"
+        elif isinstance(e, Call):
+            code = f"{bind(_FUNCS[e.fn])}({emit(e.arg)})"
+        else:
+            left = emit(e.left)
+            code = _BINOPS.get(e.op, "_pow({}, {})").format(left, emit(e.right))
+        body.append(f"_t{len(body)} = {code}")
+        return f"_t{len(body) - 1}"
+
+    results = []
+    for e in exprs:
+        results.append(emit(e))
+        if not (isinstance(e, Const) and type(e.value) is float and math.isfinite(e.value)):
+            message = bind(f"non-finite value while evaluating {to_string(e)!r}")
+            body.append(f"if not _isfinite({results[-1]}).all(): raise _EvalError({message})")
+    lines = [f"def _group({', '.join(args.values())}):", "    with _errstate(all='ignore'):"]
+    lines += [f"        {line}" for line in body]
+    lines.append(f"        return ({''.join(r + ', ' for r in results)})")
+    exec(compile("\n".join(lines), "<fvc.expr group>", "exec"), scope)
+    return scope["_group"]
 
 
 def free_variables(e: Expr) -> set:
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return free_variables(e.arg)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    return free_variables(e.left) | free_variables(e.right)
+    return set(_leaves((e,))[0])
 
 
 # -- differentiation ----------------------------------------------------------

@@ -91,7 +91,7 @@ class GridFn:
             raise GridMismatchError(
                 f"expected {self.grid.n_nodes} rows, got {v.shape[0]}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("GridFn values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -116,13 +116,6 @@ class GridFn:
 
     def with_values(self, values: np.ndarray) -> "GridFn":
         return GridFn(self.grid, values)
-
-
-def _check_same_grid(f: GridFn, g: GridFn):
-    if f.grid != g.grid:
-        raise GridMismatchError("operands live on different grids")
-    if f.dim != g.dim:
-        raise GridMismatchError(f"dimension mismatch: {f.dim} vs {g.dim}")
 
 
 @dataclass(frozen=True)
@@ -156,6 +149,21 @@ def _kernel(alpha: float, h: float, n_cells: int) -> tuple[np.ndarray, np.ndarra
     w.setflags(write=False)
     spectrum.setflags(write=False)
     return w, spectrum
+
+
+@functools.lru_cache(maxsize=16)
+def beta_cell_weights(grid: Grid, beta: float) -> np.ndarray:
+    """Exact integrals of (b-s)^(beta-1)/Gamma(beta) over each cell.
+
+    Cached per (grid, beta); the returned array is read-only.
+    """
+    if beta <= 0:
+        raise ValueError(f"need beta > 0, got {beta}")
+    t = grid.nodes()
+    gaps = (grid.b - t).clip(min=0.0)
+    w = (gaps[:-1] ** beta - gaps[1:] ** beta) / math.gamma(beta + 1.0)
+    w.setflags(write=False)
+    return w
 
 
 def _volterra(cells: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
@@ -237,11 +245,8 @@ def caputo_derivative_left(x: GridFn, alpha: float) -> GridFn:
         raise FracDomainError(f"need alpha in (0,1], got {alpha}")
     h = x.grid.h
     diff = np.diff(x.values, axis=0) / h
-    if alpha == 1.0:
-        vals = np.vstack([diff, diff[-1:]])
-        return x.with_values(vals)
-    padded = np.vstack([diff, diff[-1:]])  # node n_cells value unused by quadrature
-    return rl_integral_left(x.with_values(padded), 1.0 - alpha)
+    padded = x.with_values(np.vstack([diff, diff[-1:]]))  # the last node carries no cell
+    return padded if alpha == 1.0 else rl_integral_left(padded, 1.0 - alpha)
 
 
 def reconstruct_trajectory(u: GridFn, y: np.ndarray, alpha: float) -> GridFn:

@@ -8,15 +8,13 @@ where the weight is unbounded at b.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .convex import dist
-from .expr import Expr, evaluate
-from .frac_ops import Grid, GridFn
+from .frac_ops import Grid, GridFn, beta_cell_weights
 from .model import ProblemSpec, TrajectoryPair
 
 __all__ = [
@@ -63,60 +61,8 @@ class SecondDiffData:
     Rmat: np.ndarray
 
 
-# -- quadrature weights ---------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=16)
-def beta_cell_weights(grid: Grid, beta: float) -> np.ndarray:
-    """Exact integrals of (b-s)^(beta-1)/Gamma(beta) over each cell.
-
-    Cached per (grid, beta); the returned array is read-only.
-    """
-    if beta <= 0:
-        raise ValueError(f"need beta > 0, got {beta}")
-    t = grid.nodes()
-    gaps = (grid.b - t).clip(min=0.0)
-    w = (gaps[:-1] ** beta - gaps[1:] ** beta) / math.gamma(beta + 1.0)
-    w.setflags(write=False)
-    return w
-
-
-# -- expression plumbing --------------------------------------------------------
-
-
-def running_env(spec: ProblemSpec, x: GridFn, u: GridFn) -> dict:
-    env = {"t": spec.grid.nodes()}
-    for i in range(spec.dim):
-        env[f"x{i + 1}"] = x.values[:, i]
-        env[f"u{i + 1}"] = u.values[:, i]
-    return env
-
-
-def endpoint_env(spec: ProblemSpec, xa: np.ndarray, xb: np.ndarray) -> dict:
-    env = {}
-    for i in range(spec.dim):
-        env[f"xa{i + 1}"] = float(xa[i])
-        env[f"xb{i + 1}"] = float(xb[i])
-    return env
-
-
-def eval_vector(exprs, env) -> np.ndarray:
-    return np.array([float(evaluate(e, env)) for e in exprs])
-
-
-def eval_matrix(rows, env) -> np.ndarray:
-    return np.array([[float(evaluate(e, env)) for e in row] for row in rows])
-
-
-def eval_profile(exprs, env, n_nodes: int) -> np.ndarray:
-    """Evaluate a tuple of expressions over the whole grid, shape (n_nodes, k)."""
-    cols = [np.broadcast_to(evaluate(e, env), (n_nodes,)) for e in exprs]
-    return np.column_stack(cols)
-
-
 def constraint_value(spec: ProblemSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    env = endpoint_env(spec, xa, xb)
-    return eval_vector(spec.constraint_map, env)
+    return spec._plan.endpoint(xa, xb, "g")[0]
 
 
 # -- the functional and its differentials ---------------------------------------
@@ -124,55 +70,32 @@ def constraint_value(spec: ProblemSpec, xa: np.ndarray, xb: np.ndarray) -> np.nd
 
 def bolza_eval(spec: ProblemSpec, traj: TrajectoryPair) -> float:
     """phi(x(a), x(b)) + I^beta[L](b) for x reconstructed from (u, y)."""
+    plan = spec._plan
     x = traj.state(spec.alpha)
-    env = running_env(spec, x, traj.u)
-    lag = np.broadcast_to(evaluate(spec.lagrangian, env), (spec.grid.n_nodes,))
-    weights = beta_cell_weights(spec.grid, spec.beta)
-    integral = float(weights @ lag[:-1])
-    mayer = float(
-        evaluate(spec.phi, endpoint_env(spec, x.values[0], x.values[-1]))
-    )
+    (lag,) = plan.running(x, traj.u, "L")
+    integral = float(plan.w_beta @ lag[:-1])
+    (mayer,) = plan.endpoint(x.values[0], x.values[-1], "phi")
     return mayer + integral
 
 
 def gateaux_first(spec: ProblemSpec, traj: TrajectoryPair, eta: TrajectoryPair) -> float:
     """First directional differential along the variation eta = (cD eta, eta(a))."""
+    plan = spec._plan
     x = traj.state(spec.alpha)
     eta_x = eta.state(spec.alpha)
-    env = running_env(spec, x, traj.u)
-    n_nodes = spec.grid.n_nodes
-    d1 = eval_profile(spec.d_lagrangian("x"), env, n_nodes)
-    d2 = eval_profile(spec.d_lagrangian("u"), env, n_nodes)
+    d1, d2 = plan.running(x, traj.u, "L_x", "L_u")
     integrand = np.sum(d1 * eta_x.values + d2 * eta.u.values, axis=1)
-    weights = beta_cell_weights(spec.grid, spec.beta)
-    integral = float(weights @ integrand[:-1])
-    ep = endpoint_env(spec, x.values[0], x.values[-1])
-    dphi_a = eval_vector(spec.d_phi("xa"), ep)
-    dphi_b = eval_vector(spec.d_phi("xb"), ep)
+    integral = float(plan.w_beta @ integrand[:-1])
+    dphi_a, dphi_b = plan.endpoint(x.values[0], x.values[-1], "phi_a", "phi_b")
     return float(dphi_a @ eta_x.values[0] + dphi_b @ eta_x.values[-1]) + integral
 
 
 def second_diff_data(spec: ProblemSpec, traj: TrajectoryPair) -> SecondDiffData:
+    plan = spec._plan
     x = traj.state(spec.alpha)
-    env = running_env(spec, x, traj.u)
-    ep = endpoint_env(spec, x.values[0], x.values[-1])
-    n, n_nodes = spec.dim, spec.grid.n_nodes
-
-    def profile(rows):
-        mats = np.empty((n_nodes, n, n))
-        for i in range(n):
-            for j in range(n):
-                mats[:, i, j] = np.broadcast_to(evaluate(rows[i][j], env), (n_nodes,))
-        return mats
-
-    return SecondDiffData(
-        A=eval_matrix(spec.d2_phi("xa", "xa"), ep),
-        B=eval_matrix(spec.d2_phi("xa", "xb"), ep),
-        C=eval_matrix(spec.d2_phi("xb", "xb"), ep),
-        P=profile(spec.d2_lagrangian("x", "x")),
-        Q=profile(spec.d2_lagrangian("x", "u")),
-        Rmat=profile(spec.d2_lagrangian("u", "u")),
-    )
+    A, B, C = plan.endpoint(x.values[0], x.values[-1], "phi_aa", "phi_ab", "phi_bb")
+    P, Q, Rmat = plan.running(x, traj.u, "L_xx", "L_xu", "L_uu")
+    return SecondDiffData(A=A, B=B, C=C, P=P, Q=Q, Rmat=Rmat)
 
 
 def gateaux_second(spec: ProblemSpec, traj: TrajectoryPair, eta: TrajectoryPair) -> float:
@@ -187,8 +110,7 @@ def gateaux_second(spec: ProblemSpec, traj: TrajectoryPair, eta: TrajectoryPair)
         + 2.0 * np.einsum("ki,kij,kj->k", eta_x, data.Q, nu)
         + np.einsum("ki,kij,kj->k", nu, data.Rmat, nu)
     )
-    weights = beta_cell_weights(spec.grid, spec.beta)
-    return endpoint + float(weights @ quad[:-1])
+    return endpoint + float(spec._plan.w_beta @ quad[:-1])
 
 
 # -- needle perturbations --------------------------------------------------------
@@ -239,28 +161,19 @@ def needle_sensitivity(spec: ProblemSpec, traj: TrajectoryPair, tau: float, v) -
         raise ValueError("needle base point must be interior")
     v = np.atleast_1d(np.asarray(v, dtype=float))
     k = grid.node_index(tau)
+    plan = spec._plan
     x = traj.state(spec.alpha)
-    env = running_env(spec, x, traj.u)
-    ep = endpoint_env(spec, x.values[0], x.values[-1])
     u_tau = traj.u.values[k]
-    x_tau = x.values[k]
-
-    point_env = {"t": tau}
-    for i in range(spec.dim):
-        point_env[f"x{i + 1}"] = float(x_tau[i])
-    env_u = dict(point_env)
-    env_v = dict(point_env)
-    for i in range(spec.dim):
-        env_u[f"u{i + 1}"] = float(u_tau[i])
-        env_v[f"u{i + 1}"] = float(v[i])
-    lag_gap = float(evaluate(spec.lagrangian, env_v)) - float(
-        evaluate(spec.lagrangian, env_u)
+    point = (tau, *map(float, x.values[k]))
+    lagrangian, _ = plan.group(("L",))
+    lag_gap = float(lagrangian(*point, *map(float, v))[0]) - float(
+        lagrangian(*point, *map(float, u_tau))[0]
     )
     w_beta = (grid.b - tau) ** (spec.beta - 1.0) / math.gamma(spec.beta)
     w_alpha = (grid.b - tau) ** (spec.alpha - 1.0) / math.gamma(spec.alpha)
 
-    dphi_b = eval_vector(spec.d_phi("xb"), ep)
-    d1 = eval_profile(spec.d_lagrangian("x"), env, grid.n_nodes)
+    (dphi_b,) = plan.endpoint(x.values[0], x.values[-1], "phi_b")
+    (d1,) = plan.running(x, traj.u, "L_x")
     adjoint = np.column_stack(
         [
             _right_double_kernel_at(grid, spec.alpha, spec.beta, d1[:-1, i], tau)
@@ -305,14 +218,11 @@ def needle_bounds_check(
 def y_sensitivity(spec: ProblemSpec, traj: TrajectoryPair, y_dir) -> float:
     """Directional derivative of the cost in the initial value."""
     y_dir = np.atleast_1d(np.asarray(y_dir, dtype=float))
+    plan = spec._plan
     x = traj.state(spec.alpha)
-    env = running_env(spec, x, traj.u)
-    ep = endpoint_env(spec, x.values[0], x.values[-1])
-    d1 = eval_profile(spec.d_lagrangian("x"), env, spec.grid.n_nodes)
-    weights = beta_cell_weights(spec.grid, spec.beta)
-    integral = weights @ d1[:-1]
-    dphi_a = eval_vector(spec.d_phi("xa"), ep)
-    dphi_b = eval_vector(spec.d_phi("xb"), ep)
+    (d1,) = plan.running(x, traj.u, "L_x")
+    integral = plan.w_beta @ d1[:-1]
+    dphi_a, dphi_b = plan.endpoint(x.values[0], x.values[-1], "phi_a", "phi_b")
     return float((dphi_a + dphi_b + integral) @ y_dir)
 
 

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Expr, differentiate, free_variables, parse
-from .frac_ops import Grid, GridFn, reconstruct_trajectory
+from .expr import Expr, compile_group, differentiate, free_variables, parse
+from .frac_ops import Grid, GridFn, _kernel, beta_cell_weights, reconstruct_trajectory
 
 __all__ = [
     "ConvexSet",
@@ -122,6 +122,11 @@ class Product(ConvexSet):
 _diff = functools.lru_cache(maxsize=None)(differentiate)
 
 
+def _hessian(e: Expr, dim: int, stem_row: str, stem_col: str) -> tuple:
+    rows = [_diff(e, f"{stem_row}{i + 1}") for i in range(dim)]
+    return tuple(tuple(_diff(r, f"{stem_col}{j + 1}") for j in range(dim)) for r in rows)
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Bolza problem data: orders, grid, costs and endpoint constraints."""
@@ -149,26 +154,14 @@ class ProblemSpec:
         return tuple(_diff(self.phi, f"{stem}{i + 1}") for i in range(self.dim))
 
     def d2_phi(self, stem_row: str, stem_col: str) -> tuple:
-        return tuple(
-            tuple(
-                _diff(_diff(self.phi, f"{stem_row}{i + 1}"), f"{stem_col}{j + 1}")
-                for j in range(self.dim)
-            )
-            for i in range(self.dim)
-        )
+        return _hessian(self.phi, self.dim, stem_row, stem_col)
 
     def d_lagrangian(self, stem: str) -> tuple:
         """Gradient of L with respect to x ('x') or u ('u')."""
         return tuple(_diff(self.lagrangian, f"{stem}{i + 1}") for i in range(self.dim))
 
     def d2_lagrangian(self, stem_row: str, stem_col: str) -> tuple:
-        return tuple(
-            tuple(
-                _diff(_diff(self.lagrangian, f"{stem_row}{i + 1}"), f"{stem_col}{j + 1}")
-                for j in range(self.dim)
-            )
-            for i in range(self.dim)
-        )
+        return _hessian(self.lagrangian, self.dim, stem_row, stem_col)
 
     def d_constraints(self, stem: str) -> tuple:
         """Jacobian rows of g with respect to xa or xb (shape j x n)."""
@@ -178,6 +171,93 @@ class ProblemSpec:
             tuple(_diff(g, f"{stem}{i + 1}") for i in range(self.dim))
             for g in self.constraint_map
         )
+
+    @functools.cached_property
+    def _plan(self) -> "_Plan":
+        """Compiled evaluation of this problem, built on first use and kept
+        like TrajectoryPair.state; dataclasses.replace gives a new plan."""
+        return _Plan(self)
+
+    def __getstate__(self):
+        # the plan holds generated functions, which do not pickle
+        return {k: v for k, v in self.__dict__.items() if k != "_plan"}
+
+
+# The parts of a problem that a plan evaluates: name -> ProblemSpec field or method, arguments.
+_PARTS = {
+    "L": ("lagrangian",), "L_x": ("d_lagrangian", "x"), "L_u": ("d_lagrangian", "u"),
+    "L_xx": ("d2_lagrangian", "x", "x"), "L_xu": ("d2_lagrangian", "x", "u"),
+    "L_uu": ("d2_lagrangian", "u", "u"),
+    "phi": ("phi",), "phi_a": ("d_phi", "xa"), "phi_b": ("d_phi", "xb"),
+    "phi_aa": ("d2_phi", "xa", "xa"), "phi_ab": ("d2_phi", "xa", "xb"),
+    "phi_bb": ("d2_phi", "xb", "xb"),
+    "g": ("constraint_map",), "g_a": ("d_constraints", "xa"), "g_b": ("d_constraints", "xb"),
+}
+
+
+class _Plan:
+    """How one problem is evaluated: grid weights and compiled expression groups.
+
+    A group evaluates a tuple of _PARTS names with one function of compile_group,
+    built on first use; parts of L take t, x1..xn, u1..un, the others xa1..xan, xb1..xbn.
+    """
+
+    def __init__(self, spec: ProblemSpec):
+        n = range(1, spec.dim + 1)
+        self.spec = spec
+        self.nodes = spec.grid.nodes()
+        self._running = ("t", *(f"x{i}" for i in n), *(f"u{i}" for i in n))
+        self._endpoint = (*(f"xa{i}" for i in n), *(f"xb{i}" for i in n))
+        self._groups = {}
+
+    @functools.cached_property
+    def w_beta(self) -> np.ndarray:
+        """The weight of each cell in I^beta[.](b) (beta_cell_weights)."""
+        return beta_cell_weights(self.spec.grid, self.spec.beta)
+
+    @functools.cached_property
+    def w_alpha_rev(self) -> np.ndarray:
+        """Column of the order-alpha weights, reversed: row j weighs cell j in x(b)."""
+        grid = self.spec.grid
+        return _kernel(self.spec.alpha, grid.h, grid.n_cells)[0][::-1, None]
+
+    def group(self, parts: tuple):
+        """(function, (start, stop, shape) of each part's outputs) of a tuple of part names."""
+        entry = self._groups.get(parts)
+        if entry is None:
+            trees, spans = (), []
+            for part in parts:
+                attr, *args = _PARTS[part]
+                value = getattr(self.spec, attr)(*args) if args else getattr(self.spec, attr)
+                value = np.array(value, dtype=object)  # an Expr, a tuple or rows of Expr
+                spans.append((len(trees), len(trees) + value.size, value.shape))
+                trees += tuple(value.flat)
+            names = self._running if parts[0].startswith("L") else self._endpoint
+            entry = self._groups[parts] = (compile_group(trees, names), spans)
+        return entry
+
+    def running(self, x: GridFn, u: GridFn, *parts) -> list:
+        """Parts of L at every node: arrays of shape (n_nodes,) + part shape."""
+        fn, spans = self.group(parts)
+        out = fn(self.nodes, *x.values.T, *u.values.T)
+        rows, result = self.nodes.shape, []
+        for start, stop, shape in spans:
+            if shape:
+                cols = np.empty(rows + (stop - start,))
+                for j in range(start, stop):
+                    cols[:, j - start] = out[j]
+                result.append(cols.reshape(rows + shape))
+            else:
+                v = out[start]
+                result.append(v if np.shape(v) == rows else np.broadcast_to(v, rows))
+        return result
+
+    def endpoint(self, xa, xb, *parts) -> list:
+        """Parts of phi or g at (xa, xb): a float or an array of the part's shape."""
+        fn, spans = self.group(parts)
+        out = np.array(fn(*np.concatenate((xa, xb), dtype=float).tolist()), dtype=float)
+        return [out[start:stop].reshape(shape) if shape else float(out[start])
+                for start, stop, shape in spans]
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,8 @@ import numpy as np
 from .conditions import ResidualReport, build_report
 from .convex import dist, dist_sq_gradient, project
 from .expr import EvalError, Var
-from .frac_ops import FracWeights, GridFn, _volterra
-from .functional import (
-    beta_cell_weights,
-    bolza_eval,
-    constraint_value,
-    endpoint_env,
-    eval_matrix,
-    eval_profile,
-    eval_vector,
-    running_env,
-)
+from .frac_ops import GridFn, _volterra
+from .functional import bolza_eval, constraint_value
 from .model import ProblemSpec, TrajectoryPair
 
 __all__ = [
@@ -98,19 +89,15 @@ def objective_gradient(spec: ProblemSpec, traj: TrajectoryPair):
     """
     grid = spec.grid
     n_cells = grid.n_cells
+    plan = spec._plan
     x = traj.state(spec.alpha)
-    env = running_env(spec, x, traj.u)
-    ep = endpoint_env(spec, x.values[0], x.values[-1])
-    d1 = eval_profile(spec.d_lagrangian("x"), env, grid.n_nodes)
-    d2 = eval_profile(spec.d_lagrangian("u"), env, grid.n_nodes)
-    dphi_a = eval_vector(spec.d_phi("xa"), ep)
-    dphi_b = eval_vector(spec.d_phi("xb"), ep)
-    w_beta = beta_cell_weights(grid, spec.beta)
-    w_alpha = FracWeights.build(spec.alpha, grid.h, n_cells).weights
+    d1, d2 = plan.running(x, traj.u, "L_x", "L_u")
+    dphi_a, dphi_b = plan.endpoint(x.values[0], x.values[-1], "phi_a", "phi_b")
+    w_beta = plan.w_beta[:, None]
 
     grad_u = np.zeros_like(traj.u.values)
-    weighted_d1 = w_beta[:, None] * d1[:-1]
-    grad_u[:-1] = w_beta[:, None] * d2[:-1] + w_alpha[::-1, None] * dphi_b[None, :]
+    weighted_d1 = w_beta * d1[:-1]
+    grad_u[:-1] = w_beta * d2[:-1] + plan.w_alpha_rev * dphi_b[None, :]
     # transpose of the causal fractional-integral map: node j collects the
     # downstream contributions of d1L at cells j+1..n-1
     grad_u[: n_cells - 1] += _volterra(weighted_d1[:0:-1], spec.alpha, grid)[::-1]
@@ -156,13 +143,11 @@ def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float):
         gy = grad_y.copy()
         if constrained:
             outer = rho * dist_sq_gradient(spec.target_set, g_val)
-            ep = endpoint_env(spec, xa, xb)
-            ga = eval_matrix(spec.d_constraints("xa"), ep)
-            gb = eval_matrix(spec.d_constraints("xb"), ep)
+            plan = spec._plan
+            ga, gb = plan.endpoint(xa, xb, "g_a", "g_b")
             pull_a = ga.T @ outer  # d/dxa, and xa = y
             pull_b = gb.T @ outer  # d/dxb; xb = y + sum_j w_alpha[n-1-j] u_j
-            w_alpha = FracWeights.build(spec.alpha, spec.grid.h, spec.grid.n_cells).weights
-            gu += w_alpha[::-1, None] * pull_b[None, :]
+            gu += plan.w_alpha_rev * pull_b[None, :]
             gy += pull_a + pull_b
         return np.concatenate([gu.ravel(), gy])
 
@@ -190,16 +175,16 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
     f, grad = fun(z)
     g = grad()
     eps = np.finfo(float).eps
-    s_hist, y_hist = [], []
+    history = []  # (s, y, 1 / (s . y)) of the last cfg.memory accepted steps
     it = 0
     while it < max_iters:
         pg = z - np.clip(z - g, lo, hi)
         if float(np.linalg.norm(pg)) <= tol:
             return z, f, g, it, True
-        d = -_lbfgs_direction(g, s_hist, y_hist)
+        d = -_lbfgs_direction(g, history)
         if float(d @ g) >= 0.0:
             d = -g
-            s_hist, y_hist = [], []
+            history = []
         step = 1.0
         accepted = False
         while step >= eps:
@@ -219,28 +204,26 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
         if not accepted:
             return z, f, g, it, float(np.linalg.norm(pg)) <= tol
         s, yv = z_new - z, g_new - g
-        if float(s @ yv) > 1e-14 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-            s_hist.append(s)
-            y_hist.append(yv)
-            if len(s_hist) > cfg.memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
+        sy = float(s @ yv)
+        if sy > 1e-14 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+            history.append((s, yv, 1.0 / sy))
+            if len(history) > cfg.memory:
+                history.pop(0)
         z, f, g = z_new, f_new, g_new
     pg = z - np.clip(z - g, lo, hi)
     return z, f, g, it, float(np.linalg.norm(pg)) <= tol
 
 
-def _lbfgs_direction(g, s_hist, y_hist):
+def _lbfgs_direction(g, history):
     q = g.copy()
     alphas = []
-    for s, y in zip(reversed(s_hist), reversed(y_hist)):
-        rho = 1.0 / float(s @ y)
+    for s, y, rho in reversed(history):
         a = rho * float(s @ q)
         alphas.append((a, rho, s, y))
         q -= a * y
-    if y_hist:
-        y = y_hist[-1]
-        q *= float(s_hist[-1] @ y) / float(y @ y)
+    if history:
+        s, y, _ = history[-1]
+        q *= float(s @ y) / float(y @ y)
     for a, rho, s, y in reversed(alphas):
         b = rho * float(y @ q)
         q += (a - b) * s
@@ -311,8 +294,7 @@ def nonexistence_diagnostic(spec: ProblemSpec, result: SolveResult) -> dict:
         return {"applicable": False, "flag": False, "dphi_b_norm": None,
                 "transversality_b": None}
     x = result.traj.state(spec.alpha)
-    ep = endpoint_env(spec, x.values[0], x.values[-1])
-    dphi_b = eval_vector(spec.d_phi("xb"), ep)
+    (dphi_b,) = spec._plan.endpoint(x.values[0], x.values[-1], "phi_b")
     norm = float(np.linalg.norm(dphi_b))
     return {
         "applicable": True,

@@ -244,6 +244,19 @@ class TestTrajectoryCSV:
         assert edited.u.values.tobytes() == expected.u.values.tobytes()
         assert edited.y.tobytes() == expected.y.tobytes()
 
+    @pytest.mark.parametrize("y_line, row", [
+        ("# y = abc", None), ("# y =", None), ("# y = 1,,2", None),
+        ("# y = nan", None), ("# y = 0.0", "nan"),
+    ])
+    def test_bad_initial_value_or_entry_exit_code(self, problem_file, tmp_path, capsys, y_line, row):
+        spec = load_problem(problem_file())
+        rows = [f"{float(t)!r},0.0" for t in spec.grid.nodes()]
+        if row is not None:
+            rows[3] = f"{float(spec.grid.nodes()[3])!r},{row}"
+        path = self.write_lines(tmp_path, [y_line, "t,u_1"] + rows)
+        assert main(["check", problem_file(), path]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
 
 class TestSweepCommand:
     def test_columns_and_flags(self, problem_file, tmp_path):

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fvc import EvalError, ParseError, differentiate, evaluate, parse, to_string
-from fvc.expr import free_variables
+from fvc import EvalError, Grid, ParseError, ProblemSpec, differentiate, evaluate, parse, to_string
+from fvc.expr import _FUNCS, Bin, Call, Const, Neg, Var, compile_group, free_variables
 
 
 class TestParseEval:
@@ -178,3 +181,153 @@ class TestRandomized:
             except EvalError:
                 continue
             assert math.isclose(float(evaluate(back, env)), a, rel_tol=1e-12)
+
+
+# -- compiled evaluation against a tree walk ---------------------------------------
+
+
+def _walk(e, env):
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {e.name!r}") from None
+    if isinstance(e, Neg):
+        return -_walk(e.arg, env)
+    if isinstance(e, Call):
+        return _FUNCS[e.fn](_walk(e.arg, env))
+    left, right = _walk(e.left, env), _walk(e.right, env)
+    if e.op == "+":
+        return left + right
+    if e.op == "-":
+        return left - right
+    if e.op == "*":
+        return left * right
+    if e.op == "/":
+        return np.true_divide(left, right)
+    return np.power(left, right)
+
+
+def reference(e, env):
+    """The elementwise tree walk that compiled evaluation reproduces bit for bit."""
+    with np.errstate(all="ignore"):
+        out = _walk(e, env)
+    if not np.all(np.isfinite(out)):
+        raise EvalError(f"non-finite value while evaluating {to_string(e)!r}")
+    return out
+
+
+def outcome(fn, *args):
+    """(type, shape, bytes) of a result, or (error type, message)."""
+    try:
+        out = fn(*args)
+    except EvalError as exc:
+        return EvalError, str(exc)
+    return type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+VERIFY_LAGRANGIAN = (
+    "0.5*(u1^2 + u2^2 + u3^2) + 0.5*(x1^2 + x2^2 + x3^2)"
+    " + 0.2*sin(x1)*u2 + 0.1*x3*u1 + 0.05*t*x2^2"
+)
+CORPUS = ["0.5*(x1^2 + u1^2) - t*x1", "sqrt(abs(x1))", "x1^-2", "2^x1", "x1^u1"]
+
+
+def corpus_envs(names, rng):
+    scalar = {n: float(v) for n, v in zip(names, rng.uniform(-2.0, 2.0, len(names)))}
+    array = {n: rng.uniform(-2.0, 2.0, 33) for n in names}
+    positive = {n: np.abs(v) + 0.1 for n, v in array.items()}
+    signed_zeros = {n: np.concatenate([[0.0, -0.0], v[2:]]) for n, v in array.items()}
+    return [scalar, array, positive, signed_zeros]
+
+
+class TestCompiledEvaluation:
+    def test_corpus_matches_tree_walk(self, rng):
+        for src in CORPUS:
+            e = parse(src, 1)
+            for env in corpus_envs(["t", "x1", "u1"], rng):
+                assert outcome(evaluate, e, env) == outcome(reference, e, env), src
+
+    def test_second_derivatives_of_a_3d_lagrangian(self, rng):
+        spec = ProblemSpec(
+            alpha=0.7, beta=0.8, grid=Grid(0.0, 1.0, 8), dim=3,
+            phi=parse("xb1", 3), lagrangian=parse(VERIFY_LAGRANGIAN, 3),
+        )
+        entries = [e for r in "xu" for c in "xu" for row in spec.d2_lagrangian(r, c) for e in row]
+        names = ["t", "x1", "x2", "x3", "u1", "u2", "u3"]
+        for env in corpus_envs(names, rng)[:3]:
+            group = compile_group(entries, names)(*[env[n] for n in names])
+            for e, got in zip(entries, group):
+                expected = outcome(reference, e, env)
+                assert outcome(evaluate, e, env) == expected
+                assert outcome(lambda: got) == expected
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_trees_match_tree_walk(self, data):
+        leaf = st.sampled_from(["t", "x1", "u1", "0", "-0", "0.5", "2", "3.25", "1e999"])
+        unary = st.sampled_from(sorted(_FUNCS.keys() - {"sign"}) + ["-"])
+        src = data.draw(st.recursive(leaf, lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda p: f"({p[0]} {p[1]} {p[2]})"),
+            st.tuples(unary, inner).map(lambda p: f"{p[0]}({p[1]})"),
+        ), max_leaves=10))
+        e = parse(src, 1)
+        values = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3))
+        env = dict(zip(["t", "x1", "u1"], values))
+        envs = [env, {k: np.array([v, -v, 0.0]) for k, v in env.items()}]
+        envs.append({k: v for k, v in env.items() if k != data.draw(st.sampled_from(list(env)))})
+        for env in envs:
+            assert outcome(evaluate, e, env) == outcome(reference, e, env), src
+
+    @pytest.mark.parametrize("src, env", [
+        ("log(1 + x1)", {"x1": -1.0}),
+        ("1/0", {}),
+        ("t*u1 + x1", {"t": 1.0, "x1": 2.0}),
+    ])
+    def test_error_text_unchanged(self, src, env):
+        e = parse(src, 1)
+        kind, message = outcome(evaluate, e, env)
+        assert kind is EvalError
+        assert (kind, message) == outcome(reference, e, env)
+        with pytest.raises(EvalError) as exc:
+            compile_group([e], list(env))(*env.values())
+        assert str(exc.value) == message
+
+    def test_constant_tree_returns_python_float(self):
+        for src in ["2", "-0.5", "2^3^2", "exp(0)*0"]:
+            e = parse(src, 1)
+            assert outcome(evaluate, e, {}) == outcome(reference, e, {})
+        assert type(evaluate(parse("2", 1), {})) is float
+        assert compile_group([parse("-0.5", 1)], [])() == (-0.5,)
+
+    def test_infinite_constant_raises(self):
+        for src in ["1e999", "x1 + 1e999"]:
+            with pytest.raises(EvalError, match="non-finite"):
+                evaluate(parse(src, 1), {"x1": 1.0})
+
+    def test_signed_zero_constants_kept_apart(self):
+        # Const(0.0) == Const(-0.0), so the compiled-function cache must not merge them
+        assert evaluate(parse("0", 1), {}).hex() == "0x0.0p+0"
+        assert evaluate(parse("-0", 1), {}).hex() == "-0x0.0p+0"
+        assert evaluate(parse("x1*0", 1), {"x1": -1.0}).hex() == "-0x0.0p+0"
+        assert evaluate(parse("x1*-0", 1), {"x1": -1.0}).hex() == "0x0.0p+0"
+
+    def test_constants_and_names_bound_as_values(self):
+        class Shown(float):
+            def __repr__(self):
+                return "1/0"
+
+        e = Bin("*", Const(Shown(2.5)), Var("x1); import os; (x"))
+        assert evaluate(e, {"x1); import os; (x": 2.0}) == 5.0
+        with pytest.raises(EvalError, match="unbound variable"):
+            evaluate(e, {})
+        with pytest.raises(KeyError):
+            evaluate(Call("__import__", Const(0.0)), {})
+
+    def test_equal_trees_share_compiled_code(self):
+        a = compile_group([parse("sin(x1)*u1", 1)], ["x1", "u1"])
+        b = compile_group([parse("sin(x1) * u1", 1)], ["x1", "u1"])
+        assert a is b
+        assert compile_group([parse("sin(x1)*u1", 1)], ["u1", "x1"]) is not a

@@ -67,3 +67,24 @@ def test_needle_sensitivity_in_fresh_process():
     u = fvc.GridFn(spec.grid, np.cos(3.0 * spec.grid.nodes()))
     expected = fvc.needle_sensitivity(spec, fvc.TrajectoryPair(u, np.array([0.2])), 0.5, [1.5])
     assert run_fresh(code) == f"{expected.hex()} True"
+
+
+def test_building_a_plan_imports_no_module():
+    # the plan and its generated functions use numpy and the standard library
+    # modules that import fvc already loaded
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import fvc, fvc.cli\n"
+        "from conftest import classic_spec\n"
+        "from fvc import GridFn, TrajectoryPair\n"
+        "spec = classic_spec(alpha=0.6, beta=0.8)\n"
+        "traj = TrajectoryPair(GridFn(spec.grid, np.cos(spec.grid.nodes())), np.array([0.2]))\n"
+        "traj.state(spec.alpha)\n"  # numpy loads numpy.fft on its first use
+        "before = set(sys.modules)\n"
+        "fvc.solve(spec, fvc.SolverConfig(max_iters=3))\n"
+        "fvc.gateaux_second(spec, traj, traj)\n"
+        "fvc.evaluate(fvc.parse('sin(x1)^2', 1), {'x1': np.ones(3)})\n"
+        "print(sorted(set(sys.modules) - before))"
+    )
+    assert run_fresh(code) == "[]"

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from fvc import (
     Singleton,
     TrajectoryPair,
     WholeSpace,
+    bolza_eval,
+    build_report,
     evaluate,
     parse,
     reconstruct_trajectory,
     standard_constraint,
     validate,
 )
+from fvc.expr import EvalError
 
 from conftest import classic_spec
 
@@ -224,3 +228,50 @@ class TestTrajectoryPair:
         assert np.all(traj.u.values == 0.0) and traj.y[0] == 0.0
         assert traj.state(0.5) is before
         assert np.array_equal(before.values, reconstruct_trajectory(traj.u, traj.y, 0.5).values)
+
+
+class TestPlan:
+    """The compiled evaluation plan each ProblemSpec builds on first use."""
+
+    def test_built_once_and_fresh_after_replace(self, rng):
+        spec = classic_spec(n_cells=32, alpha=0.8)
+        assert "_plan" not in vars(spec)
+        traj = TrajectoryPair(GridFn(spec.grid, rng.standard_normal(33)), np.array([0.3]))
+        value = bolza_eval(spec, traj)
+        plan = spec._plan
+        build_report(spec, traj)
+        assert spec._plan is plan
+        other = dataclasses.replace(spec, beta=0.6)
+        assert "_plan" not in vars(other)
+        assert bolza_eval(other, traj) != value
+        assert other._plan is not plan
+        assert other._plan.w_beta is not plan.w_beta
+
+    def test_equal_reparsed_problem_reuses_compiled_functions(self):
+        parts = [("L",), ("L_x", "L_u"), ("L_uu",), ("phi",), ("phi_a", "phi_b"), ("g_a", "g_b")]
+        g, s = standard_constraint("periodic", 2)
+        specs = [
+            ProblemSpec(
+                alpha=0.9, beta=1.0, grid=Grid(0.0, 1.0, 16), dim=2,
+                phi=parse("xb1*xb2", 2), lagrangian=parse("u1^2 + sin(x2)*u2 - t*x1", 2),
+                constraint_map=g, target_set=s,
+            )
+            for _ in range(2)
+        ]
+        assert specs[0] == specs[1] and specs[0]._plan is not specs[1]._plan
+        for group in parts:
+            assert specs[0]._plan.group(group)[0] is specs[1]._plan.group(group)[0]
+
+    def test_unvalidated_variable_still_unbound(self):
+        spec = dataclasses.replace(classic_spec(n_cells=8), phi=parse("x1 + xb1", 1))
+        traj = TrajectoryPair(GridFn.constant(spec.grid, 0.0), np.zeros(1))
+        with pytest.raises(EvalError, match="unbound variable 'x1'"):
+            bolza_eval(spec, traj)
+
+    def test_pickles_after_evaluation(self):
+        spec = classic_spec(n_cells=8)
+        traj = TrajectoryPair(GridFn.constant(spec.grid, 0.5), np.ones(1))
+        value = bolza_eval(spec, traj)
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and "_plan" not in vars(back)
+        assert bolza_eval(back, traj) == value

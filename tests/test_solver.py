@@ -22,7 +22,10 @@ from fvc import (
 )
 from fvc import frac_ops, model
 from fvc import solver as solver_module
-from fvc.solver import _bounds, _descend
+from fvc import dist, dist_sq_gradient, evaluate
+from fvc.frac_ops import FracWeights
+from fvc.functional import constraint_value
+from fvc.solver import _bounds, _descend, _lbfgs_direction, _penalized, _traj_from
 
 from conftest import classic_spec, classic_oracle, oracle_trajectory, zero_trajectory
 from test_functional import random_quadratic_spec, random_traj
@@ -364,3 +367,62 @@ class TestSolverConfig:
     def test_shrink_in_unit_interval(self):
         with pytest.raises(ValueError):
             SolverConfig(shrink=1.0)
+
+
+class TestPenalizedParts:
+    """_penalized is bolza_eval plus rho*dist^2, and its gradient adds the endpoint pull."""
+
+    @pytest.mark.parametrize("kind", ["fixed_both", "periodic"])
+    def test_matches_public_functions_bitwise(self, rng, kind):
+        g, s = standard_constraint(kind, 2, [0.0, 0.5], [1.0, -1.0])
+        spec = ProblemSpec(
+            alpha=0.7, beta=0.9, grid=Grid(0.0, 1.0, 48), dim=2,
+            phi=parse("xb1*xb2 + xa2", 2),
+            lagrangian=parse("0.5*(u1^2 + u2^2) + x1*x2 - t*sin(x2)*u1", 2),
+            constraint_map=g, target_set=s,
+        )
+        rho = 1e3
+        z = rng.uniform(-1.0, 1.0, 48 * 2 + 2)
+        value, gradient = _penalized(spec, z, rho)
+
+        traj = _traj_from(spec, z)
+        x = traj.state(spec.alpha).values
+        g_val = constraint_value(spec, x[0], x[-1])
+        feas = dist(s, g_val)
+        assert value.hex() == (bolza_eval(spec, traj) + rho * feas * feas).hex()
+
+        grad_u, grad_y = objective_gradient(spec, traj)
+        outer = rho * dist_sq_gradient(s, g_val)
+        ends = {"xa1": x[0, 0], "xa2": x[0, 1], "xb1": x[-1, 0], "xb2": x[-1, 1]}
+        ga, gb = (np.array([[float(evaluate(e, ends)) for e in row] for row in spec.d_constraints(stem)])
+                  for stem in ("xa", "xb"))
+        w_alpha = FracWeights.build(spec.alpha, spec.grid.h, spec.grid.n_cells).weights
+        gu = grad_u.values[:-1] + w_alpha[::-1, None] * (gb.T @ outer)[None, :]
+        gy = grad_y + (ga.T @ outer + gb.T @ outer)
+        assert gradient().tobytes() == np.concatenate([gu.ravel(), gy]).tobytes()
+
+
+def reference_direction(g, s_hist, y_hist):
+    """Two-loop recursion computing each 1/(s . y) afresh."""
+    q = g.copy()
+    alphas = []
+    for s, y in zip(reversed(s_hist), reversed(y_hist)):
+        rho = 1.0 / float(s @ y)
+        a = rho * float(s @ q)
+        alphas.append((a, rho, s, y))
+        q -= a * y
+    if y_hist:
+        q *= float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
+    for a, rho, s, y in reversed(alphas):
+        q += (a - rho * float(y @ q)) * s
+    return q
+
+
+def test_lbfgs_direction_matches_two_loop_reference(rng):
+    s_hist = [rng.standard_normal(200) for _ in range(10)]
+    y_hist = [s + 0.3 * rng.standard_normal(200) for s in s_hist]
+    history = [(s, y, 1.0 / float(s @ y)) for s, y in zip(s_hist, y_hist)]
+    for k in range(len(history) + 1):
+        g = rng.standard_normal(200)
+        got = _lbfgs_direction(g, history[:k])
+        assert got.tobytes() == reference_direction(g, s_hist[:k], y_hist[:k]).tobytes()
