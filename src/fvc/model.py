@@ -304,7 +304,7 @@ def validate(spec: ProblemSpec) -> list:
         issues.append(f"beta: must be positive: {spec.beta}")
     if spec.dim < 1:
         issues.append(f"dim: must be a positive integer: {spec.dim}")
-    endpoint_vars = {"t"}
+    endpoint_vars = set()
     for i in range(spec.dim):
         endpoint_vars |= {f"xa{i + 1}", f"xb{i + 1}"}
     lag_vars = {"t"}

@@ -4,8 +4,11 @@ The decision variables are the control values on cells (the last node is tied
 to its neighbor) together with the initial value y. Endpoint constraints are
 handled by a smooth quadratic penalty with an increasing weight schedule, one
 stage per epsilon of the Ekeland-style schedule. The inner loop is a
-limited-memory quasi-Newton descent with backtracking and box projection onto
-the control bound.
+limited-memory quasi-Newton descent with box projection onto the control bound
+and an Armijo backtracking search. A trial point whose value rises clearly
+above rounding sets the next step by safeguarded quadratic interpolation;
+every other rejected trial (an evaluation error, a decrease that is not
+sufficient, a change at rounding level) multiplies the step by a fixed factor.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ class SolverConfig:
         rho = tuple(float(r) for r in self.penalty_weights)
         if len(rho) != len(eps) or any(r <= 0 for r in rho):
             raise ValueError("penalty weights must be positive, one per epsilon")
-        if self.grad_tol <= 0 or not (0 < self.shrink < 1) or self.sufficient_decrease <= 0:
-            raise ValueError("tolerances and line-search parameters must be positive")
+        if self.grad_tol <= 0 or not (0 < self.shrink < 1 and 0 < self.sufficient_decrease < 1):
+            raise ValueError("grad_tol must be positive; shrink and sufficient_decrease in (0, 1)")
         object.__setattr__(self, "epsilon_schedule", eps)
         object.__setattr__(self, "penalty_weights", rho)
 
@@ -166,9 +169,15 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
 
     fun(z) returns (value, gradient thunk); the thunk is called only at the
     start point and at accepted trial points. Accepted steps are strictly
-    non-increasing in the objective. The line search fails, and the descent
-    stops, once a trial point rounds back onto z or the step falls below
-    machine epsilon times the unit quasi-Newton step. Returns
+    non-increasing in the objective. After a rejected trial at step s along a
+    descent path whose finite value f_t exceeds f by more than
+    1e3 * eps * |f|, the next step is the minimizer of the quadratic through
+    f, the slope g . (z_t - z) and f_t, clamped to [0.1 s, shrink s]. Any
+    other rejection (an EvalError or SolverError, an insufficient decrease, a
+    change at rounding level, where the quadratic model is noise) multiplies
+    the step by shrink. The line search fails, and the descent stops, once a
+    trial point rounds back onto z or the step falls below machine epsilon
+    times the unit quasi-Newton step. Returns
     (z, value, gradient, iterations, converged).
     """
     z = np.clip(z, lo, hi)
@@ -191,15 +200,27 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
             z_new = np.clip(z + step * d, lo, hi)
             if np.array_equal(z_new, z):
                 break  # the Armijo test would pass as 0 <= 0 with no progress
+            slope = float(g @ (z_new - z))
+            rise = math.nan
             try:
                 f_new, grad = fun(z_new)
-                if f_new <= f + cfg.sufficient_decrease * float(g @ (z_new - z)):
+                if f_new <= f + cfg.sufficient_decrease * slope:
                     g_new = grad()
                     accepted = True
                     break
+                rise = f_new - f
             except (SolverError, EvalError):
                 pass  # a trial point outside the integrand's domain is a rejected step
-            step *= cfg.shrink
+            # a rise within 1e3 * eps * |f| is rounding noise of the summed
+            # objective, and a quadratic fitted through it is noise too
+            if slope < 0.0 and 1e3 * eps * abs(f) < rise < math.inf:
+                # minimizer of the quadratic through f, the slope and f_new,
+                # safeguarded to [0.1, shrink] times the step (Nocedal & Wright,
+                # Numerical Optimization, sec. 3.5; Dennis & Schnabel, A6.3.1)
+                t = 0.5 * slope * step / (slope - rise)
+                step = min(max(t, 0.1 * step), cfg.shrink * step)
+            else:
+                step *= cfg.shrink
         it += 1
         if not accepted:
             return z, f, g, it, float(np.linalg.norm(pg)) <= tol

@@ -71,6 +71,15 @@ class TestLoadProblem:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
 
+    def test_t_in_endpoint_cost_rejected(self, problem_file, capsys):
+        path = problem_file(phi="t*xb1")
+        with pytest.raises(InputError, match=r"phi: uses non-endpoint variables \['t'\]"):
+            load_problem(path)
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert "phi: uses non-endpoint variables ['t']" in err
+        assert "unbound" not in err
+
 
 class TestSolveCommand:
     def test_classic_objective(self, problem_file, tmp_path, capsys):

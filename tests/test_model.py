@@ -118,6 +118,17 @@ class TestValidate:
         )
         assert any("lagrangian" in s for s in validate(spec))
 
+    def test_endpoint_terms_cannot_use_t(self):
+        # endpoint terms are evaluated at x(a), x(b) only; t is not bound there
+        g, s = standard_constraint("fixed_initial", 1, [0.0])
+        spec = dataclasses.replace(
+            classic_spec(n_cells=8), phi=parse("t*xb1", 1),
+            constraint_map=(parse("xa1 + t", 1),), target_set=s,
+        )
+        issues = validate(spec)
+        assert "phi: uses non-endpoint variables ['t']" in issues
+        assert "constraint[0]: uses non-endpoint variables ['t']" in issues
+
 
 class TestDerivativeAccessors:
     def test_d_phi(self):

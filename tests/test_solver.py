@@ -22,7 +22,7 @@ from fvc import (
 )
 from fvc import frac_ops, model
 from fvc import solver as solver_module
-from fvc import dist, dist_sq_gradient, evaluate
+from fvc import EvalError, dist, dist_sq_gradient, evaluate
 from fvc.frac_ops import FracWeights
 from fvc.functional import constraint_value
 from fvc.solver import _bounds, _descend, _lbfgs_direction, _penalized, _traj_from
@@ -154,6 +154,75 @@ class TestDescend:
         assert np.array_equal(z, start)
         assert not any(np.array_equal(c, start) for c in calls[1:])
 
+    def test_stiff_quadratic_first_step_by_interpolation(self):
+        # condition number 1e6, start dominated by the stiff direction: the
+        # unit step along -g overshoots by a factor of about 1e3
+        lam = np.array([1e-3, 1e3])
+        start = np.ones(2)
+        f0, g0 = 0.5 * float(lam @ (start * start)), lam * start
+        calls = []
+
+        def fun(z):
+            calls.append(z)
+            return 0.5 * float(lam @ (z * z)), lambda: lam * z
+
+        inf = np.full(2, np.inf)
+        cfg = SolverConfig()
+        z, f, g, it, converged = _descend(fun, start, -inf, inf, 1e-10, 1, cfg)
+        trials = len(calls) - 1
+        assert it == 1
+        assert f < f0
+        assert trials <= 4
+
+        # halving would take the first step 2^-k that passes the Armijo test
+        def armijo(step):
+            zt = start - step * g0
+            decrease = cfg.sufficient_decrease * step * float(g0 @ g0)
+            return 0.5 * float(lam @ (zt * zt)) <= f0 - decrease
+
+        halving = next(k for k in range(60) if armijo(cfg.shrink**k)) + 1
+        assert halving >= 10
+
+    @pytest.mark.parametrize("rise, halves", [(100.0, True), (1e4, False)])
+    def test_rounding_level_rise_halves(self, rise, halves):
+        # every trial is rejected with the same rise over f = 1; below 1e3 eps
+        # the rise is rounding noise and the step is halved exactly
+        steps = []
+
+        def fun(z):
+            if z[0] == 0.0:
+                return 1.0, lambda: np.array([1.0, 0.0])
+            steps.append(-z[0])
+            return 1.0 + rise * np.finfo(float).eps, None
+
+        inf = np.full(2, np.inf)
+        z, f, g, it, converged = _descend(fun, np.zeros(2), -inf, inf, 1e-10, 500, SolverConfig())
+        assert it == 1 and not converged
+        assert np.array_equal(z, np.zeros(2))
+        halving = [0.5**k for k in range(len(steps))]
+        assert (steps == halving) is halves
+        assert steps[0] == 1.0
+
+    def test_eval_error_shrinks_by_factor(self):
+        cfg = SolverConfig(shrink=0.3)
+        steps = []
+
+        def fun(z):
+            if z[0] == 0.0:
+                return 1.0, lambda: np.array([1.0])
+            steps.append(-z[0])
+            if len(steps) <= 3:
+                raise EvalError("outside the domain")
+            return 0.5, lambda: np.array([1.0])
+
+        inf = np.full(1, np.inf)
+        z, f, g, it, converged = _descend(fun, np.zeros(1), -inf, inf, 1e-10, 1, cfg)
+        expected = [1.0]
+        for _ in range(3):
+            expected.append(expected[-1] * cfg.shrink)
+        assert steps == expected
+        assert f == 0.5 and z[0] == -expected[-1]
+
 
 class TestSolve:
     def test_classic_instance(self):
@@ -248,7 +317,9 @@ class TestSolve:
 
     def test_zero_progress_stops_early(self):
         # late in this solve only steps that leave the objective unchanged pass
-        # the Armijo test; the solve must stop instead of using its budget
+        # the Armijo test; the solve must stop instead of using its budget.
+        # -3.601224389145994 is where a halving-only search stalls; the
+        # interpolating search must stall no higher.
         spec = ProblemSpec(
             alpha=0.8,
             beta=1.0,
@@ -260,7 +331,8 @@ class TestSolve:
         result = solve(spec)
         assert result.iterations < 200
         assert not result.converged
-        assert math.isclose(result.objective, -3.601224389145994, rel_tol=1e-12)
+        assert math.isclose(result.objective, -3.7321678887983096, rel_tol=1e-12)
+        assert result.objective <= -3.601224389145994
 
     def test_zero_step_stall_stops_early(self):
         # the last penalty stage reaches steps that round back onto z; it used
@@ -272,7 +344,24 @@ class TestSolve:
         )
         result = solve(spec)
         assert result.iterations < 500
-        assert math.isclose(result.objective, 0.20197346204099917, rel_tol=1e-12)
+        assert math.isclose(result.objective, 0.20197346202662533, rel_tol=1e-12)
+
+    def test_three_dim_fixed_both_converges(self):
+        # the solve that needs the rounding-level fallback: interpolating on
+        # rises at rounding level too ends this solve unconverged
+        lagrangian = (
+            "0.5*(u1^2 + u2^2 + u3^2) + 0.5*(x1^2 + x2^2 + x3^2)"
+            " + 0.2*sin(x1)*u2 + 0.1*x3*u1 + 0.05*t*x2^2"
+        )
+        g, s = standard_constraint("fixed_both", 3, [0.0] * 3, [1.0] * 3)
+        spec = ProblemSpec(
+            alpha=0.6, beta=0.7, grid=Grid(0.0, 1.0, 64), dim=3,
+            phi=parse("0", 3), lagrangian=parse(lagrangian, 3),
+            constraint_map=g, target_set=s,
+        )
+        result = solve(spec)
+        assert result.converged
+        assert result.iterations < 2000
 
     def test_iteration_budget_respected(self):
         spec = classic_spec(n_cells=128)
@@ -317,6 +406,19 @@ class TestEvaluationCounts:
         fresh = TrajectoryPair(result.traj.u, result.traj.y)
         build_report(spec, fresh)
         assert counts["rl_integral_left"] == 1
+
+    def test_penalized_calls_constrained(self, monkeypatch):
+        # a halving-only search needs 253 penalized evaluations on this solve
+        g, s = standard_constraint("fixed_both", 1, 0.0, 1.0)
+        spec = dataclasses.replace(
+            classic_spec(n_cells=128, alpha=0.7), phi=parse("0", 1),
+            constraint_map=g, target_set=s,
+        )
+        counts = {}
+        self._count(monkeypatch, solver_module, "_penalized", counts)
+        result = solve(spec)
+        assert result.converged
+        assert counts["_penalized"] <= 60
 
 
 class TestNonexistenceDiagnostic:
@@ -367,6 +469,11 @@ class TestSolverConfig:
     def test_shrink_in_unit_interval(self):
         with pytest.raises(ValueError):
             SolverConfig(shrink=1.0)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1.5])
+    def test_sufficient_decrease_in_unit_interval(self, value):
+        with pytest.raises(ValueError):
+            SolverConfig(sufficient_decrease=value)
 
 
 class TestPenalizedParts:
