@@ -8,13 +8,18 @@ of the kernel.
 
 The product-integration sums are discrete Volterra convolutions. They are
 evaluated by FFT in O(n log n), with the kernel weights and their spectrum
-cached per (order, grid).
+cached per (order, grid). The FFT runs in a per-thread workspace: a complex
+spectrum buffer and a real output buffer for the current (FFT length, column
+count), replaced when that key changes. The convolution therefore returns a
+view into the workspace, valid only until the next convolution on the same
+thread; every caller copies it out or adds it in place at once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,16 +171,32 @@ def beta_cell_weights(grid: Grid, beta: float) -> np.ndarray:
     return w
 
 
+_workspace = threading.local()
+
+
 def _volterra(cells: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
     """out[k] = sum_{i<=k} cells[i] * w[k-i] for every column of cells.
 
     w are the order-alpha weights of grid; cells has at most n_cells rows and
-    out has as many rows as cells.
+    out has as many rows as cells. out is a view into this thread's FFT
+    workspace and is valid only until the next call on the same thread:
+    callers copy it out or add it in place at once. The workspace holds the
+    buffers of one (n_fft, columns) key and is replaced when the key changes.
     """
     spectrum = _kernel(alpha, grid.h, grid.n_cells)[1]
     n_fft = 2 * (spectrum.shape[0] - 1)
-    full = np.fft.irfft(np.fft.rfft(cells, n_fft, axis=0) * spectrum[:, None], n_fft, axis=0)
-    return full[: cells.shape[0]]
+    n_cols = cells.shape[1]
+    buffers = getattr(_workspace, "buffers", None)
+    if buffers is None or buffers[1].shape != (n_fft, n_cols):
+        buffers = _workspace.buffers = (
+            np.empty((spectrum.shape[0], n_cols), dtype=complex),
+            np.empty((n_fft, n_cols)),
+        )
+    spec_buf, real_buf = buffers
+    np.fft.rfft(cells, n_fft, axis=0, out=spec_buf)
+    np.multiply(spec_buf, spectrum[:, None], out=spec_buf)
+    np.fft.irfft(spec_buf, n_fft, axis=0, out=real_buf)
+    return real_buf[: cells.shape[0]]
 
 
 def rl_integral_left(u: GridFn, alpha: float) -> GridFn:

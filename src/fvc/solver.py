@@ -24,7 +24,7 @@ from .convex import dist, dist_sq_gradient, project
 from .expr import EvalError, Var
 from .frac_ops import GridFn, _volterra
 from .functional import bolza_eval, constraint_value
-from .model import ProblemSpec, TrajectoryPair
+from .model import ProblemSpec, TrajectoryPair, WholeSpace
 
 __all__ = [
     "SolverConfig",
@@ -237,17 +237,18 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
 
 def _lbfgs_direction(g, history):
     q = g.copy()
+    tmp = np.empty_like(q)  # one scratch vector for every a*y and (a-b)*s
     alphas = []
     for s, y, rho in reversed(history):
         a = rho * float(s @ q)
         alphas.append((a, rho, s, y))
-        q -= a * y
+        q -= np.multiply(a, y, out=tmp)
     if history:
         s, y, _ = history[-1]
         q *= float(s @ y) / float(y @ y)
     for a, rho, s, y in reversed(alphas):
         b = rho * float(y @ q)
-        q += (a - b) * s
+        q += np.multiply(a - b, s, out=tmp)
     return q
 
 
@@ -273,7 +274,8 @@ def solve(
         initial = default_initial(spec)
     z = _pack(spec, initial)
     lo, hi = _bounds(spec, config.radius)
-    constrained = spec.constraint_map is not None
+    # the distance to the whole space is identically zero: no penalty stages
+    constrained = spec.constraint_map is not None and not isinstance(spec.target_set, WholeSpace)
     stages = list(zip(config.epsilon_schedule, config.penalty_weights))
     if not constrained:
         stages = stages[-1:]

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from fvc import (
     rl_integral_right_at,
     window_variation,
 )
-from fvc.frac_ops import _kernel
+from fvc.frac_ops import _kernel, _volterra
 from fvc.functional import _right_double_kernel_at, beta_cell_weights
 
 SQRT_PI = math.sqrt(math.pi)
@@ -352,6 +355,77 @@ class TestConvolutionAgainstDirectSum:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.all(rl_integral_right(u, alpha).values[-1] == 0.0)
         assert np.all(rl_integral_left(u, alpha).values[0] == 0.0)
+
+    def test_alternating_sizes_and_dims(self, rng):
+        # the FFT workspace is replaced whenever (n_fft, columns) changes
+        cases = [(777, 3, 0.75), (64, 1, 0.25), (777, 1, 0.75), (1024, 2, 1.0), (64, 1, 0.25)]
+        for n, dim, alpha in cases + cases[::-1]:
+            grid = Grid(0.0, 1.3, n)
+            u = GridFn(grid, rng.normal(size=(grid.n_nodes, dim)))
+            w = direct_weights(alpha, grid)
+            cells = u.values[:-1]
+            left = np.zeros_like(u.values)
+            right = np.zeros_like(u.values)
+            for k in range(1, n + 1):
+                left[k] = w[k - 1 :: -1] @ cells[:k]
+            for k in range(n):
+                right[k] = w[: n - k] @ cells[k:]
+            got_left = rl_integral_left(u, alpha).values
+            got_right = rl_integral_right(u, alpha).values
+            assert np.max(np.abs(got_left - left)) <= 1e-13 * np.max(np.abs(left))
+            assert np.max(np.abs(got_right - right)) <= 1e-13 * np.max(np.abs(right))
+
+
+class TestVolterraWorkspace:
+    def test_warm_call_allocates_no_node_arrays(self, rng):
+        grid = Grid(0.0, 1.0, 4096)
+        cells = rng.normal(size=(grid.n_cells, 1))
+        _volterra(cells, 0.6, grid)  # warm-up: kernel cache and workspace
+        tracemalloc.start()
+        try:
+            _volterra(cells, 0.6, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one array of the 4097 nodes alone takes 32 KB
+        assert peak < 4096
+
+    def test_threads_match_sequential_bytes(self, rng):
+        # the last two share an FFT length and a column count, so a workspace
+        # shared across threads would hand both the same buffers
+        cases = [(777, 3, 0.7), (1024, 1, 0.4), (900, 1, 0.9)]
+        inputs = []
+        for n, dim, alpha in cases:
+            grid = Grid(0.0, 1.0, n)
+            inputs.append((GridFn(grid, rng.normal(size=(grid.n_nodes, dim))), alpha))
+
+        def run(u, alpha):
+            left, right = rl_integral_left(u, alpha), rl_integral_right(u, alpha)
+            return left.values.tobytes(), right.values.tobytes()
+
+        want = [run(u, alpha) for u, alpha in inputs]
+        got = [[] for _ in inputs]
+        start = threading.Barrier(len(inputs))
+
+        def worker(i):
+            start.wait(timeout=60)
+            for _ in range(50):
+                got[i].append(run(*inputs[i]))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside each convolution
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, results in enumerate(got):
+            assert len(results) == 50
+            assert all(r == want[i] for r in results)
 
 
 class TestKernelCache:

@@ -421,6 +421,24 @@ class TestEvaluationCounts:
         assert counts["_penalized"] <= 60
 
 
+class TestWholeSpaceTarget:
+    def test_free_constraint_solves_as_unconstrained(self, monkeypatch):
+        # the distance to the whole space is 0, so no penalty stage can matter
+        plain = classic_spec(n_cells=256, alpha=0.8)
+        g, s = standard_constraint("free", 1)
+        free = dataclasses.replace(plain, constraint_map=g, target_set=s)
+        want = solve(plain)
+        counts = {}
+        TestEvaluationCounts._count(monkeypatch, solver_module, "_penalized", counts)
+        got = solve(free)
+        assert counts["_penalized"] == 8
+        assert float(got.objective).hex() == float(want.objective).hex()
+        assert got.iterations == want.iterations == 7
+        assert got.traj.u.values.tobytes() == want.traj.u.values.tobytes()
+        assert got.traj.y.tobytes() == want.traj.y.tobytes()
+        assert got.feasibility_distance == 0.0
+
+
 class TestNonexistenceDiagnostic:
     def test_classical_order_not_applicable(self):
         spec = classic_spec(alpha=1.0)
