@@ -119,7 +119,9 @@ class Product(ConvexSet):
 
 # -- problem and trajectory ----------------------------------------------------
 
-_diff = functools.lru_cache(maxsize=None)(differentiate)
+# bounded, so a long-lived process that meets many problems does not grow without
+# limit; one 3-D problem with its Hessians takes under 60 entries
+_diff = functools.lru_cache(maxsize=1024)(differentiate)
 
 
 def _hessian(e: Expr, dim: int, stem_row: str, stem_col: str) -> tuple:

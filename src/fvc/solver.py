@@ -9,6 +9,13 @@ and an Armijo backtracking search. A trial point whose value rises clearly
 above rounding sets the next step by safeguarded quadratic interpolation;
 every other rejected trial (an evaluation error, a decrease that is not
 sufficient, a change at rounding level) multiplies the step by a fixed factor.
+
+Each descent keeps its L-BFGS correction pairs (s, y) in the rows of one block
+of memory + 1 rows, allocated once per descent as in the fixed storage of
+L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995). A new pair
+is written into the spare row before its curvature test; a list of row
+indices kept beside the history recycles the oldest row when the history is
+full and returns every row when the history is reset.
 """
 
 from __future__ import annotations
@@ -66,6 +73,9 @@ class SolverConfig:
             raise ValueError("penalty weights must be positive, one per epsilon")
         if self.grad_tol <= 0 or not (0 < self.shrink < 1 and 0 < self.sufficient_decrease < 1):
             raise ValueError("grad_tol must be positive; shrink and sufficient_decrease in (0, 1)")
+        # memory sizes the descent's block of correction pairs
+        if not isinstance(self.memory, int) or isinstance(self.memory, bool) or self.memory < 0:
+            raise ValueError("memory must be a non-negative integer")
         object.__setattr__(self, "epsilon_schedule", eps)
         object.__setattr__(self, "penalty_weights", rho)
 
@@ -179,12 +189,22 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
     trial point rounds back onto z or the step falls below machine epsilon
     times the unit quasi-Newton step. Returns
     (z, value, gradient, iterations, converged).
+
+    The history holds (s, y, 1 / (s . y)) of at most cfg.memory accepted
+    steps, with s and y views into rows of one (memory + 1, 2, z.size) block
+    allocated here. Each new pair is written into a free row; a pair that
+    passes the curvature test keeps that row, the oldest pair's row is freed
+    when the history overflows, and every row when it is reset. No step
+    allocates a pair, and the returned arrays never alias the block.
     """
     z = np.clip(z, lo, hi)
     f, grad = fun(z)
     g = grad()
     eps = np.finfo(float).eps
     history = []  # (s, y, 1 / (s . y)) of the last cfg.memory accepted steps
+    # slots[k] is the block row of history[k]; free holds the other rows
+    pairs = np.empty((cfg.memory + 1, 2, z.size))
+    slots, free = [], list(range(cfg.memory + 1))
     it = 0
     while it < max_iters:
         pg = z - np.clip(z - g, lo, hi)
@@ -194,6 +214,8 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
         if float(d @ g) >= 0.0:
             d = -g
             history = []
+            free += slots
+            slots = []
         step = 1.0
         accepted = False
         while step >= eps:
@@ -224,12 +246,16 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
         it += 1
         if not accepted:
             return z, f, g, it, float(np.linalg.norm(pg)) <= tol
-        s, yv = z_new - z, g_new - g
+        s, yv = pairs[free[-1]]
+        np.subtract(z_new, z, out=s)
+        np.subtract(g_new, g, out=yv)
         sy = float(s @ yv)
         if sy > 1e-14 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
             history.append((s, yv, 1.0 / sy))
+            slots.append(free.pop())
             if len(history) > cfg.memory:
                 history.pop(0)
+                free.append(slots.pop(0))
         z, f, g = z_new, f_new, g_new
     pg = z - np.clip(z - g, lo, hi)
     return z, f, g, it, float(np.linalg.norm(pg)) <= tol
@@ -285,6 +311,7 @@ def solve(
         tol = max(config.grad_tol, math.sqrt(eps) * config.eps_grad_scale)
         budget = config.max_iters - total_iters
         if budget <= 0:
+            converged = False  # a skipped stage never reached its tolerance
             break
         fun = lambda zz, r=(rho if constrained else 0.0): _penalized(spec, zz, r)
         z, _, _, used, converged = _descend(fun, z, lo, hi, tol, budget, config)

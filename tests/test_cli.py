@@ -339,3 +339,21 @@ class TestDeterminism:
             )
             paths.append((out.read_bytes(), traj.read_bytes()))
         assert paths[0] == paths[1]
+
+
+class TestSkippedStagesExitCode:
+    """A budget that ends before the last penalty stage is not convergence."""
+
+    @pytest.fixture
+    def fixed_both(self, problem_file):
+        return problem_file(
+            alpha=0.7, phi="0", grid={"n_cells": 128},
+            constraint={"kind": "fixed_both", "x_a": [0.0], "x_b": [1.0]},
+        )
+
+    def test_first_stage_only_exits_2(self, fixed_both, capsys):
+        assert main(["solve", fixed_both, "--max-iters", "6"]) == 2
+        assert "converged False" in capsys.readouterr().out
+
+    def test_every_stage_exits_0(self, fixed_both):
+        assert main(["solve", fixed_both, "--max-iters", "17"]) == 0

@@ -22,6 +22,7 @@ from fvc import (
     standard_constraint,
     validate,
 )
+from fvc import model
 from fvc.expr import EvalError
 
 from conftest import classic_spec
@@ -286,3 +287,33 @@ class TestPlan:
         back = pickle.loads(pickle.dumps(spec))
         assert back == spec and "_plan" not in vars(back)
         assert bolza_eval(back, traj) == value
+
+
+class TestDerivativeCache:
+    def test_bounded_and_hit_on_reparse(self):
+        cache = model._diff
+        limit = cache.cache_info().maxsize
+        assert limit is not None
+        lagrangian = "0.5*(u1^2 + u2^2) + {k}*x1*x2 + sin(x1)*u2"
+        misses = cache.cache_info().misses
+        # every further 2-D problem adds 12 entries (gradients and Hessians of L)
+        for k in range(limit // 12 + 10):
+            spec = ProblemSpec(
+                alpha=1.0, beta=1.0, grid=Grid(0.0, 1.0, 8), dim=2,
+                phi=parse("xb1", 2), lagrangian=parse(lagrangian.format(k=k + 1), 2),
+            )
+            for rows, cols in (("x", "x"), ("x", "u"), ("u", "u")):
+                spec.d2_lagrangian(rows, cols)
+        assert cache.cache_info().misses - misses > limit
+        assert cache.cache_info().currsize <= limit
+
+        def reparsed():  # a fresh tree equal to the first problem's
+            return ProblemSpec(
+                alpha=1.0, beta=1.0, grid=Grid(0.0, 1.0, 8), dim=2,
+                phi=parse("xb1", 2), lagrangian=parse(lagrangian.format(k=1), 2),
+            )
+
+        reparsed().d2_lagrangian("x", "u")
+        misses = cache.cache_info().misses
+        reparsed().d2_lagrangian("x", "u")
+        assert cache.cache_info().misses == misses

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -551,3 +552,208 @@ def test_lbfgs_direction_matches_two_loop_reference(rng):
         g = rng.standard_normal(200)
         got = _lbfgs_direction(g, history[:k])
         assert got.tobytes() == reference_direction(g, s_hist[:k], y_hist[:k]).tobytes()
+
+
+def list_descend(fun, z, lo, hi, tol, max_iters, cfg):
+    """The descent with a fresh (s, y) pair per step in a plain list: the
+    reference for the preallocated pair block of _descend."""
+    SolverError = solver_module.SolverError
+    z = np.clip(z, lo, hi)
+    f, grad = fun(z)
+    g = grad()
+    eps = np.finfo(float).eps
+    history = []
+    it = 0
+    while it < max_iters:
+        pg = z - np.clip(z - g, lo, hi)
+        if float(np.linalg.norm(pg)) <= tol:
+            return z, f, g, it, True
+        d = -solver_module._lbfgs_direction(g, history)
+        if float(d @ g) >= 0.0:
+            d = -g
+            history = []
+        step = 1.0
+        accepted = False
+        while step >= eps:
+            z_new = np.clip(z + step * d, lo, hi)
+            if np.array_equal(z_new, z):
+                break
+            slope = float(g @ (z_new - z))
+            rise = math.nan
+            try:
+                f_new, grad = fun(z_new)
+                if f_new <= f + cfg.sufficient_decrease * slope:
+                    g_new = grad()
+                    accepted = True
+                    break
+                rise = f_new - f
+            except (SolverError, EvalError):
+                pass
+            if slope < 0.0 and 1e3 * eps * abs(f) < rise < math.inf:
+                t = 0.5 * slope * step / (slope - rise)
+                step = min(max(t, 0.1 * step), cfg.shrink * step)
+            else:
+                step *= cfg.shrink
+        it += 1
+        if not accepted:
+            return z, f, g, it, float(np.linalg.norm(pg)) <= tol
+        s, yv = z_new - z, g_new - g
+        sy = float(s @ yv)
+        if sy > 1e-14 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+            history.append((s, yv, 1.0 / sy))
+            if len(history) > cfg.memory:
+                history.pop(0)
+        z, f, g = z_new, f_new, g_new
+    pg = z - np.clip(z - g, lo, hi)
+    return z, f, g, it, float(np.linalg.norm(pg)) <= tol
+
+
+def assert_same_descent(got, want):
+    (z, f, g, it, conv), (z0, f0, g0, it0, conv0) = got, want
+    assert z.tobytes() == z0.tobytes()
+    assert float(f).hex() == float(f0).hex()
+    assert g.tobytes() == g0.tobytes()
+    assert (it, conv) == (it0, conv0)
+
+
+def fixed_both_spec():
+    """x(0) = 0, x(1) = 1, phi = 0, classic L, alpha = 0.7, n = 128: stages of 6/5/3/3 iterations."""
+    g, s = standard_constraint("fixed_both", 1, [0.0], [1.0])
+    return ProblemSpec(
+        alpha=0.7, beta=1.0, grid=Grid(0.0, 1.0, 128), dim=1, phi=parse("0", 1),
+        lagrangian=parse("0.5*(x1^2 + u1^2)", 1), constraint_map=g, target_set=s,
+    )
+
+
+class TestPairBlock:
+    """_descend keeps its (s, y) pairs in one block and matches list_descend bitwise."""
+
+    @staticmethod
+    def quadratic(lam):
+        def fun(z):
+            return 0.5 * float(lam @ (z * z)), lambda: lam * z
+        return fun
+
+    def run_both(self, fun, z0, cfg, max_iters, lo=None, hi=None):
+        lo = np.full(z0.size, -np.inf) if lo is None else lo
+        hi = np.full(z0.size, np.inf) if hi is None else hi
+        got = _descend(fun, z0, lo, hi, 1e-12, max_iters, cfg)
+        assert_same_descent(got, list_descend(fun, z0, lo, hi, 1e-12, max_iters, cfg))
+        return got
+
+    def test_rows_wrap_on_stiff_quadratic(self):
+        lam = np.logspace(-3, 3, 40)
+        z0 = np.linspace(1.0, -1.0, 40)
+        _, _, _, it, _ = self.run_both(self.quadratic(lam), z0, SolverConfig(memory=3), 200)
+        assert it > 10  # more accepted pairs than the block has rows
+
+    def test_box_bound_case(self):
+        lam = np.logspace(-2, 2, 30)
+        lo, hi = np.full(30, -0.2), np.full(30, 0.3)
+        fun = lambda z: (0.5 * float(lam @ ((z - 1.0) ** 2)), lambda: lam * (z - 1.0))
+        self.run_both(fun, np.zeros(30), SolverConfig(memory=4), 100, lo, hi)
+
+    def test_pairs_failing_curvature_test(self):
+        # f = sum(z^4/4 - z^2/2) is concave near 0, so the first pairs have s . y < 0
+        accepted = []
+
+        def fun(z):
+            def grad():
+                accepted.append(z)
+                return z**3 - z
+            return float(np.sum(z**4 / 4 - z**2 / 2)), grad
+
+        z0 = np.array([0.1, -0.05, 0.02, 0.3])
+        _, _, _, it, _ = self.run_both(fun, z0, SolverConfig(memory=2), 100)
+        n = len(accepted) // 2  # the first run's accepted points
+        curv = [float((b - a) @ ((b**3 - b) - (a**3 - a)))
+                for a, b in zip(accepted[:n], accepted[1:n])]
+        assert it > 5
+        assert min(curv) < 0.0 < max(curv)
+
+    def test_steepest_descent_memory_zero(self):
+        lam = np.logspace(-1, 1, 20)
+        self.run_both(self.quadratic(lam), np.ones(20), SolverConfig(memory=0), 50)
+
+    def test_reset_returns_every_row(self, monkeypatch):
+        # every fifth direction is flipped uphill, forcing the d . g >= 0 reset;
+        # rows held by the dropped history must come back for the next pairs
+        calls = []
+        two_loop = solver_module._lbfgs_direction
+
+        def flipped(g, history):
+            calls.append(len(history))
+            q = two_loop(g, history)
+            return -q if len(calls) % 5 == 0 else q
+
+        monkeypatch.setattr(solver_module, "_lbfgs_direction", flipped)
+        lam = np.logspace(-3, 2, 25)
+        _, _, _, it, _ = self.run_both(self.quadratic(lam), np.ones(25), SolverConfig(memory=3), 60)
+        assert it > 20 and 3 in calls
+
+    def test_fixed_both_solve(self, monkeypatch):
+        block_descend, stages = solver_module._descend, []
+
+        def both(fun, z, lo, hi, tol, max_iters, cfg):
+            got = block_descend(fun, z, lo, hi, tol, max_iters, cfg)
+            assert_same_descent(got, list_descend(fun, z, lo, hi, tol, max_iters, cfg))
+            stages.append(got[3])
+            return got
+
+        monkeypatch.setattr(solver_module, "_descend", both)
+        result = solve(fixed_both_spec())
+        assert stages == [6, 5, 3, 3] and result.converged
+
+    def test_few_large_live_blocks(self):
+        # a fresh (s, y) pair per step (list_descend) keeps 22 such blocks alive
+        n, cfg = 4096, SolverConfig(memory=10)
+        lam = np.logspace(-4, 0, n)
+        peak = []
+
+        def fun(z):
+            snap = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, solver_module.__file__)])
+            peak.append(sum(1 for t in snap.traces if t.size >= n * 8))
+            return 0.5 * float(lam @ (z * z)), lambda: lam * z
+
+        inf = np.full(n, np.inf)
+        tracemalloc.start()
+        try:
+            _, _, _, it, _ = _descend(fun, np.ones(n), -inf, inf, 1e-300, 60, cfg)
+        finally:
+            tracemalloc.stop()
+        assert it == 60
+        assert max(peak) <= 4
+
+
+class TestSkippedStages:
+    """converged holds only when the last penalty stage ran and met its tolerance."""
+
+    def test_budget_spent_in_first_stage_not_converged(self):
+        # the rho = 1e3 stage converges in exactly 6 iterations; three stages never run
+        result = solve(fixed_both_spec(), SolverConfig(max_iters=6))
+        assert result.iterations == 6
+        assert not result.converged
+        assert result.feasibility_distance > 1e-4
+
+    @pytest.mark.parametrize("max_iters", [11, 14])
+    def test_budget_ends_between_stages(self, max_iters):
+        assert not solve(fixed_both_spec(), SolverConfig(max_iters=max_iters)).converged
+
+    def test_exact_budget_for_every_stage(self):
+        result = solve(fixed_both_spec(), SolverConfig(max_iters=17))
+        assert result.iterations == 17 and result.converged
+        assert result.feasibility_distance < 1e-6
+
+
+class TestMemoryValidation:
+    @pytest.mark.parametrize("memory", [-1, 2.5, 3.0, True, "3", None])
+    def test_rejected(self, memory):
+        with pytest.raises(ValueError):
+            SolverConfig(memory=memory)
+
+    def test_zero_memory_solves(self):
+        spec = classic_spec(n_cells=64)
+        result = solve(spec, SolverConfig(memory=0))
+        assert result.converged
+        assert abs(result.objective - solve(spec).objective) < 1e-6
