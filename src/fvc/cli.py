@@ -90,7 +90,9 @@ def load_problem(path: str, n_cells_override=None) -> ProblemSpec:
     try:
         dim = int(doc["dim"])
         a, b = (float(v) for v in doc["interval"])
-        n_cells = int(n_cells_override or doc.get("grid", {}).get("n_cells", 128))
+        if n_cells_override is None:
+            n_cells_override = doc.get("grid", {}).get("n_cells", 128)
+        n_cells = int(n_cells_override)
         grid = Grid(a, b, n_cells)
         phi = _parse_expr(doc["phi"], dim, "phi")
         lagrangian = _parse_expr(doc["lagrangian"], dim, "lagrangian")

@@ -93,7 +93,7 @@ def _right_terms(spec: ProblemSpec, traj: TrajectoryPair):
     transversality norms share; build_report computes it once.
     """
     x = traj.state(spec.alpha)
-    d1, d2 = spec._plan.running(x, traj.u, "L_x", "L_u")
+    d1, d2 = spec._plan.running(x.values, traj.u.values, "L_x", "L_u")
     w = GridFn(spec.grid, _node_weights(spec.grid, spec.beta)[:, None] * d2)
     return x, d1, rl_integral_right(w, 1.0 - spec.alpha)
 
@@ -199,7 +199,7 @@ def legendre_check(spec: ProblemSpec, traj: TrajectoryPair, tol: float = DEFAULT
     (profile, min over checked nodes >= -tol).
     """
     x = traj.state(spec.alpha)
-    (hess,) = spec._plan.running(x, traj.u, "L_uu")
+    (hess,) = spec._plan.running(x.values, traj.u.values, "L_uu")
     n_nodes = spec.grid.n_nodes
     weight = _node_weights(spec.grid, spec.beta)
     sym = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))

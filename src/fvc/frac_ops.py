@@ -54,6 +54,8 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"need finite a and b, got a={self.a}, b={self.b}")
         if not (self.a < self.b):
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
         if self.n_cells < 2:

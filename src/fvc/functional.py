@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import dist
-from .frac_ops import Grid, GridFn, beta_cell_weights
+from .frac_ops import Grid, GridFn, _volterra, beta_cell_weights
 from .model import ProblemSpec, TrajectoryPair
 
 __all__ = [
@@ -68,14 +68,56 @@ def constraint_value(spec: ProblemSpec, xa: np.ndarray, xb: np.ndarray) -> np.nd
 # -- the functional and its differentials ---------------------------------------
 
 
+def _cost(plan, x: np.ndarray, u: np.ndarray, *parts) -> tuple:
+    """phi(x(a), x(b)) + I^beta[L](b) on the (n_nodes, dim) arrays x and u.
+
+    Returns (value, [the endpoint parts named in parts]); phi and those parts
+    come from one compiled endpoint call.
+    """
+    (lag,) = plan.running(x, u, "L")
+    integral = float(plan.w_beta @ lag[:-1])
+    mayer, *extra = plan.endpoint(x[0], x[-1], "phi", *parts)
+    return mayer + integral, extra
+
+
+def _cost_gradient(plan, x: np.ndarray, u: np.ndarray, out: np.ndarray, outer=None):
+    """Gradient of the cost in the cell controls and y, written into out.
+
+    out holds n_cells * dim control entries, row by row, then the dim entries
+    of y; the views (grad_u, grad_y) into it are returned. It is the exact
+    transpose of the linear maps inside the first Gateaux differential, so
+    grad . delta reproduces gateaux_first(delta) to rounding. When outer is
+    given, the gradient of outer . g(x(a), x(b)) is added, with the Jacobian of
+    g taken from the same endpoint call as the gradient of phi.
+    """
+    spec = plan.spec
+    n_u = spec.grid.n_cells * spec.dim
+    grad_u = out[:n_u].reshape(spec.grid.n_cells, spec.dim)
+    grad_y = out[n_u:]
+    d1, d2 = plan.running(x, u, "L_x", "L_u")
+    ends = ("phi_a", "phi_b") if outer is None else ("phi_a", "phi_b", "g_a", "g_b")
+    dphi_a, dphi_b, *jacobian = plan.endpoint(x[0], x[-1], *ends)
+    w_beta = plan.w_beta[:, None]
+    weighted_d1 = w_beta * d1[:-1]
+    np.multiply(w_beta, d2[:-1], out=grad_u)
+    grad_u += plan.w_alpha_rev * dphi_b[None, :]
+    # transpose of the causal fractional-integral map: cell j collects the
+    # downstream contributions of d1L at cells j+1..n-1
+    grad_u[:-1] += _volterra(weighted_d1[:0:-1], spec.alpha, spec.grid)[::-1]
+    grad_y[:] = dphi_a + dphi_b + weighted_d1.sum(axis=0)
+    if outer is not None:
+        ga, gb = jacobian
+        pull_a = ga.T @ outer  # d/dxa, and xa = y
+        pull_b = gb.T @ outer  # d/dxb; xb = y + sum_j w_alpha[n-1-j] u_j
+        grad_u += plan.w_alpha_rev * pull_b[None, :]
+        grad_y += pull_a + pull_b
+    return grad_u, grad_y
+
+
 def bolza_eval(spec: ProblemSpec, traj: TrajectoryPair) -> float:
     """phi(x(a), x(b)) + I^beta[L](b) for x reconstructed from (u, y)."""
-    plan = spec._plan
     x = traj.state(spec.alpha)
-    (lag,) = plan.running(x, traj.u, "L")
-    integral = float(plan.w_beta @ lag[:-1])
-    (mayer,) = plan.endpoint(x.values[0], x.values[-1], "phi")
-    return mayer + integral
+    return _cost(spec._plan, x.values, traj.u.values)[0]
 
 
 def gateaux_first(spec: ProblemSpec, traj: TrajectoryPair, eta: TrajectoryPair) -> float:
@@ -83,7 +125,7 @@ def gateaux_first(spec: ProblemSpec, traj: TrajectoryPair, eta: TrajectoryPair) 
     plan = spec._plan
     x = traj.state(spec.alpha)
     eta_x = eta.state(spec.alpha)
-    d1, d2 = plan.running(x, traj.u, "L_x", "L_u")
+    d1, d2 = plan.running(x.values, traj.u.values, "L_x", "L_u")
     integrand = np.sum(d1 * eta_x.values + d2 * eta.u.values, axis=1)
     integral = float(plan.w_beta @ integrand[:-1])
     dphi_a, dphi_b = plan.endpoint(x.values[0], x.values[-1], "phi_a", "phi_b")
@@ -94,7 +136,7 @@ def second_diff_data(spec: ProblemSpec, traj: TrajectoryPair) -> SecondDiffData:
     plan = spec._plan
     x = traj.state(spec.alpha)
     A, B, C = plan.endpoint(x.values[0], x.values[-1], "phi_aa", "phi_ab", "phi_bb")
-    P, Q, Rmat = plan.running(x, traj.u, "L_xx", "L_xu", "L_uu")
+    P, Q, Rmat = plan.running(x.values, traj.u.values, "L_xx", "L_xu", "L_uu")
     return SecondDiffData(A=A, B=B, C=C, P=P, Q=Q, Rmat=Rmat)
 
 
@@ -173,7 +215,7 @@ def needle_sensitivity(spec: ProblemSpec, traj: TrajectoryPair, tau: float, v) -
     w_alpha = (grid.b - tau) ** (spec.alpha - 1.0) / math.gamma(spec.alpha)
 
     (dphi_b,) = plan.endpoint(x.values[0], x.values[-1], "phi_b")
-    (d1,) = plan.running(x, traj.u, "L_x")
+    (d1,) = plan.running(x.values, traj.u.values, "L_x")
     adjoint = np.column_stack(
         [
             _right_double_kernel_at(grid, spec.alpha, spec.beta, d1[:-1, i], tau)
@@ -220,7 +262,7 @@ def y_sensitivity(spec: ProblemSpec, traj: TrajectoryPair, y_dir) -> float:
     y_dir = np.atleast_1d(np.asarray(y_dir, dtype=float))
     plan = spec._plan
     x = traj.state(spec.alpha)
-    (d1,) = plan.running(x, traj.u, "L_x")
+    (d1,) = plan.running(x.values, traj.u.values, "L_x")
     integral = plan.w_beta @ d1[:-1]
     dphi_a, dphi_b = plan.endpoint(x.values[0], x.values[-1], "phi_a", "phi_b")
     return float((dphi_a + dphi_b + integral) @ y_dir)

@@ -10,6 +10,7 @@ the Caputo-derivative relation u = cD^alpha[x] holds by construction.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -95,8 +96,10 @@ class Ball(ConvexSet):
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.radius < 0:
-            raise ValueError("ball radius must be nonnegative")
+        if not all(math.isfinite(c) for c in self.center):
+            raise ValueError("ball center must be finite")
+        if not self.radius >= 0:  # NaN fails this too
+            raise ValueError(f"ball radius must be nonnegative, got {self.radius}")
 
     @property
     def dim(self) -> int:
@@ -238,10 +241,11 @@ class _Plan:
             entry = self._groups[parts] = (compile_group(trees, names), spans)
         return entry
 
-    def running(self, x: GridFn, u: GridFn, *parts) -> list:
-        """Parts of L at every node: arrays of shape (n_nodes,) + part shape."""
+    def running(self, x: np.ndarray, u: np.ndarray, *parts) -> list:
+        """Parts of L at every node of the (n_nodes, dim) arrays x and u: arrays
+        of shape (n_nodes,) + part shape."""
         fn, spans = self.group(parts)
-        out = fn(self.nodes, *x.values.T, *u.values.T)
+        out = fn(self.nodes, *x.T, *u.T)
         rows, result = self.nodes.shape, []
         for start, stop, shape in spans:
             if shape:
@@ -342,8 +346,11 @@ def _validate_set(s: Optional[ConvexSet], path: str) -> list:
         for i, (lo, hi) in enumerate(zip(s.lower, s.upper)):
             if lo > hi:
                 issues.append(f"{path}.box[{i}]: lower > upper")
-    if isinstance(s, Ball) and s.radius < 0:
-        issues.append(f"{path}.ball: negative radius")
+    if isinstance(s, Ball):
+        if not s.radius >= 0:
+            issues.append(f"{path}.ball: radius must be nonnegative, got {s.radius}")
+        if not all(math.isfinite(c) for c in s.center):
+            issues.append(f"{path}.ball: center must be finite")
     if isinstance(s, Product):
         for i, f in enumerate(s.factors):
             issues.extend(_validate_set(f, f"{path}.factors[{i}]"))

@@ -10,6 +10,12 @@ above rounding sets the next step by safeguarded quadratic interpolation;
 every other rejected trial (an evaluation error, a decrease that is not
 sufficient, a change at rounding level) multiplies the step by a fixed factor.
 
+Trial points are evaluated on plain arrays, not on GridFn or TrajectoryPair
+objects: the control rows and the state x = y + I^alpha[u] come from one
+convolution, the cost from the array kernels that bolza_eval and
+objective_gradient wrap, and a non-finite state is a rejected step. Only the
+final point of a solve becomes a TrajectoryPair.
+
 Each descent keeps its L-BFGS correction pairs (s, y) in the rows of one block
 of memory + 1 rows, allocated once per descent as in the fixed storage of
 L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995). A new pair
@@ -27,10 +33,10 @@ from typing import Optional
 import numpy as np
 
 from .conditions import ResidualReport, build_report
-from .convex import dist, dist_sq_gradient, project
+from .convex import dist, project
 from .expr import EvalError, Var
 from .frac_ops import GridFn, _volterra
-from .functional import bolza_eval, constraint_value
+from .functional import _cost, _cost_gradient, bolza_eval, constraint_value
 from .model import ProblemSpec, TrajectoryPair, WholeSpace
 
 __all__ = [
@@ -100,32 +106,28 @@ def objective_gradient(spec: ProblemSpec, traj: TrajectoryPair):
     differential, so grad . delta reproduces gateaux_first(delta) to rounding.
     The last control node does not enter the quadrature; its entry is zero.
     """
-    grid = spec.grid
-    n_cells = grid.n_cells
-    plan = spec._plan
-    x = traj.state(spec.alpha)
-    d1, d2 = plan.running(x, traj.u, "L_x", "L_u")
-    dphi_a, dphi_b = plan.endpoint(x.values[0], x.values[-1], "phi_a", "phi_b")
-    w_beta = plan.w_beta[:, None]
-
+    out = np.empty(spec.grid.n_cells * spec.dim + spec.dim)
+    grad_cells, grad_y = _cost_gradient(spec._plan, traj.state(spec.alpha).values, traj.u.values, out)
     grad_u = np.zeros_like(traj.u.values)
-    weighted_d1 = w_beta * d1[:-1]
-    grad_u[:-1] = w_beta * d2[:-1] + plan.w_alpha_rev * dphi_b[None, :]
-    # transpose of the causal fractional-integral map: node j collects the
-    # downstream contributions of d1L at cells j+1..n-1
-    grad_u[: n_cells - 1] += _volterra(weighted_d1[:0:-1], spec.alpha, grid)[::-1]
-    grad_y = dphi_a + dphi_b + weighted_d1.sum(axis=0)
-    return GridFn(grid, grad_u), grad_y
+    grad_u[:-1] = grad_cells
+    return GridFn(spec.grid, grad_u), grad_y
 
 
 # -- penalty plumbing ------------------------------------------------------------
 
 
+def _controls(spec: ProblemSpec, z: np.ndarray) -> np.ndarray:
+    """Control rows of z at every node, in a fresh array; the last node carries
+    no cell and repeats the last cell."""
+    n_u = spec.grid.n_cells * spec.dim
+    u = np.empty((spec.grid.n_nodes, spec.dim))
+    u[:-1] = z[:n_u].reshape(-1, spec.dim)
+    u[-1] = u[-2]
+    return u
+
+
 def _traj_from(spec: ProblemSpec, z: np.ndarray) -> TrajectoryPair:
-    n, n_cells = spec.dim, spec.grid.n_cells
-    cells = z[: n_cells * n].reshape(n_cells, n)
-    vals = np.vstack([cells, cells[-1:]])
-    return TrajectoryPair(GridFn(spec.grid, vals), z[n_cells * n :])
+    return TrajectoryPair(GridFn(spec.grid, _controls(spec, z)), z[spec.grid.n_cells * spec.dim :])
 
 
 def _pack(spec: ProblemSpec, traj: TrajectoryPair) -> np.ndarray:
@@ -135,34 +137,37 @@ def _pack(spec: ProblemSpec, traj: TrajectoryPair) -> np.ndarray:
 def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float):
     """Value of Phi + rho * dist^2 to the target set, and a thunk for its gradient.
 
-    The line search needs only values; the gradient is computed when a trial
-    point is accepted, from the same trajectory and its memoized state.
+    The trial point is evaluated on plain arrays: the control rows u and the
+    state x = y + I^alpha[u] (one convolution) are built here, and a
+    non-finite u or x raises SolverError, which the line search counts as a
+    rejected step. L comes from one compiled running call, phi and g from one
+    endpoint call. The line search needs only values; the gradient is
+    computed when a trial point is accepted, from the same u and x, and is
+    written straight into the vector it returns.
     """
-    traj = _traj_from(spec, z)
-    value = bolza_eval(spec, traj)
+    plan = spec._plan
+    u = _controls(spec, z)
+    x = np.empty_like(u)
+    x[0] = 0.0
+    x[1:] = _volterra(u[:-1], spec.alpha, spec.grid)
+    x += z[spec.grid.n_cells * spec.dim :]
+    if not (np.isfinite(u).all() and np.isfinite(x).all()):
+        raise SolverError("trial control or state is not finite")
     constrained = spec.constraint_map is not None and rho > 0.0
     if constrained:
-        x = traj.state(spec.alpha)
-        xa, xb = x.values[0], x.values[-1]
-        g_val = constraint_value(spec, xa, xb)
-        feas = dist(spec.target_set, g_val)
+        value, (g_val,) = _cost(plan, x, u, "g")
+        gap = g_val - project(spec.target_set, g_val)  # half the gradient of dist^2
+        feas = float(np.linalg.norm(gap))
         value += rho * feas * feas
+    else:
+        value, _ = _cost(plan, x, u)
     if not np.isfinite(value):
         raise SolverError("penalized objective is not finite")
 
     def gradient():
-        grad_u, grad_y = objective_gradient(spec, traj)
-        gu = grad_u.values[:-1].copy()
-        gy = grad_y.copy()
-        if constrained:
-            outer = rho * dist_sq_gradient(spec.target_set, g_val)
-            plan = spec._plan
-            ga, gb = plan.endpoint(xa, xb, "g_a", "g_b")
-            pull_a = ga.T @ outer  # d/dxa, and xa = y
-            pull_b = gb.T @ outer  # d/dxb; xb = y + sum_j w_alpha[n-1-j] u_j
-            gu += plan.w_alpha_rev * pull_b[None, :]
-            gy += pull_a + pull_b
-        return np.concatenate([gu.ravel(), gy])
+        out = np.empty(z.size)
+        _cost_gradient(plan, x, u, out, rho * (2.0 * gap) if constrained else None)
+        return out
 
     return value, gradient
 

@@ -42,6 +42,34 @@ class TestLoadProblem:
         spec = load_problem(problem_file(), n_cells_override=64)
         assert spec.grid.n_cells == 64
 
+    @pytest.mark.parametrize("command", [["solve"], ["sweep-alpha", "--alphas", "1.0"]])
+    def test_zero_n_cells_rejected(self, problem_file, capsys, command):
+        # 0 is a given value, not a missing one: it must not fall back to the file's 256
+        assert main([command[0], problem_file(), *command[1:], "--n-cells", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "need n_cells >= 2, got 0" in err
+
+    def test_infinite_interval_rejected(self, problem_file, capsys):
+        path = problem_file()
+        with open(path) as fh:
+            text = fh.read().replace('"interval": [0.0, 1.0]', '"interval": [0.0, 1e999]')
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(InputError, match="finite"):
+            load_problem(path)
+        assert main(["solve", path]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nan_ball_radius_rejected(self, problem_file, capsys):
+        path = problem_file(
+            constraint={"g": ["xb1"], "set": {"type": "ball", "center": [0.0], "radius": math.nan}}
+        )
+        with pytest.raises(InputError, match="radius"):
+            load_problem(path)
+        assert main(["solve", path]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_standard_constraint_block(self, problem_file):
         path = problem_file(
             constraint={"kind": "fixed_both", "x_a": [0.0], "x_b": [1.0]}

@@ -44,6 +44,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+    def test_non_finite_endpoints(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(a, b, 4)
+
     def test_node_index(self):
         g = Grid(0.0, 1.0, 10)
         assert g.node_index(0.3) == 3

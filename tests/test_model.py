@@ -48,6 +48,15 @@ class TestSets:
         with pytest.raises(ValueError):
             Ball((0.0,), -1.0)
 
+    def test_ball_nan_radius(self):
+        with pytest.raises(ValueError, match="radius"):
+            Ball((0.0,), float("nan"))
+
+    @pytest.mark.parametrize("center", [(float("nan"),), (0.0, float("inf"))])
+    def test_ball_non_finite_center(self, center):
+        with pytest.raises(ValueError, match="center"):
+            Ball(center, 1.0)
+
     def test_empty_product(self):
         with pytest.raises(ValueError):
             Product(())
@@ -129,6 +138,18 @@ class TestValidate:
         issues = validate(spec)
         assert "phi: uses non-endpoint variables ['t']" in issues
         assert "constraint[0]: uses non-endpoint variables ['t']" in issues
+
+
+    def test_bad_ball_reported(self):
+        # a ball that skipped its own checks is still caught by validate
+        ball = Ball((0.0, 0.0), 1.0)
+        object.__setattr__(ball, "radius", float("nan"))
+        object.__setattr__(ball, "center", (0.0, float("inf")))
+        g, _ = standard_constraint("fixed_initial", 1, [0.0])
+        spec = dataclasses.replace(classic_spec(n_cells=8), constraint_map=g, target_set=ball)
+        issues = validate(spec)
+        assert "target_set.ball: radius must be nonnegative, got nan" in issues
+        assert "target_set.ball: center must be finite" in issues
 
 
 class TestDerivativeAccessors:

@@ -21,7 +21,7 @@ from fvc import (
     solve,
     standard_constraint,
 )
-from fvc import frac_ops, model
+from fvc import frac_ops, functional
 from fvc import solver as solver_module
 from fvc import EvalError, dist, dist_sq_gradient, evaluate
 from fvc.frac_ops import FracWeights
@@ -372,41 +372,66 @@ class TestSolve:
 
 
 class TestEvaluationCounts:
-    """Each trial point builds its state once; gradients only at accepted points."""
+    """Each trial point makes one convolution; gradients only at accepted points."""
 
     @staticmethod
-    def _count(monkeypatch, holder, name, counts):
+    def _count(monkeypatch, holder, name, counts, key=None):
         original = getattr(holder, name)
+        key = key or name
 
         def counted(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
+            counts[key] = counts.get(key, 0) + 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(holder, name, counted)
 
-    def test_constrained_solve(self, monkeypatch):
+    @staticmethod
+    def _fixed_both_spec():
         g, s = standard_constraint("fixed_both", 1, 0.0, 1.0)
-        spec = dataclasses.replace(
+        return dataclasses.replace(
             classic_spec(n_cells=128, alpha=0.7), phi=parse("0", 1),
             constraint_map=g, target_set=s,
         )
+
+    def test_constrained_solve(self, monkeypatch):
+        spec = self._fixed_both_spec()
         config = SolverConfig()
         counts = {}
         self._count(monkeypatch, frac_ops, "rl_integral_left", counts)
-        self._count(monkeypatch, model, "reconstruct_trajectory", counts)
-        self._count(monkeypatch, solver_module, "bolza_eval", counts)
-        self._count(monkeypatch, solver_module, "objective_gradient", counts)
+        self._count(monkeypatch, solver_module, "_penalized", counts)
+        self._count(monkeypatch, solver_module, "_cost", counts)
+        self._count(monkeypatch, solver_module, "_cost_gradient", counts)
+        # forward convolutions of trial points, transposes in gradients, the rest
+        self._count(monkeypatch, solver_module, "_volterra", counts, "forward")
+        self._count(monkeypatch, functional, "_volterra", counts, "transpose")
+        self._count(monkeypatch, frac_ops, "_volterra", counts, "operators")
         result = solve(spec, config)
         assert result.iterations < config.max_iters
-        assert counts["reconstruct_trajectory"] == counts["rl_integral_left"]
-        assert counts["rl_integral_left"] <= counts["bolza_eval"] + 1
+        assert counts["forward"] == counts["_cost"] == counts["_penalized"]
         n_stages = len(config.epsilon_schedule)
-        assert counts["objective_gradient"] == result.iterations + n_stages
+        assert counts["_cost_gradient"] == result.iterations + n_stages
+        assert counts["transpose"] == counts["_cost_gradient"]
+        assert counts["forward"] + counts["transpose"] + counts["operators"] == 67
 
         counts.clear()
         fresh = TrajectoryPair(result.traj.u, result.traj.y)
         build_report(spec, fresh)
         assert counts["rl_integral_left"] == 1
+
+    def test_grid_functions_do_not_grow_with_evaluations(self, monkeypatch):
+        spec = self._fixed_both_spec()
+        built = {}
+        self._count(monkeypatch, frac_ops.GridFn, "__post_init__", built)
+        penalized = {}
+        self._count(monkeypatch, solver_module, "_penalized", penalized)
+        builds = []
+        for max_iters in (5, SolverConfig().max_iters):
+            built.clear()
+            penalized.clear()
+            solve(spec, SolverConfig(max_iters=max_iters))
+            builds.append(built["__post_init__"])
+        assert penalized["_penalized"] > 40
+        assert builds[0] == builds[1] <= 12
 
     def test_penalized_calls_constrained(self, monkeypatch):
         # a halving-only search needs 253 penalized evaluations on this solve
@@ -526,6 +551,32 @@ class TestPenalizedParts:
         gu = grad_u.values[:-1] + w_alpha[::-1, None] * (gb.T @ outer)[None, :]
         gy = grad_y + (ga.T @ outer + gb.T @ outer)
         assert gradient().tobytes() == np.concatenate([gu.ravel(), gy]).tobytes()
+
+    def test_non_finite_state_raises_solver_error(self):
+        # a finite point whose state x = y + I^alpha[u] overflows
+        spec = classic_spec(n_cells=32, alpha=0.7)
+        z = np.full(33, 1e308)
+        with np.errstate(all="ignore"), pytest.raises(solver_module.SolverError, match="not finite"):
+            _penalized(spec, z, 0.0)
+
+    def test_non_finite_state_is_a_rejected_step(self, monkeypatch):
+        spec = classic_spec(n_cells=64, alpha=0.7)
+        want = solve(spec)
+        original = solver_module._volterra
+        calls = []
+
+        def poisoned(*args):
+            out = original(*args)
+            calls.append(1)
+            # the second forward convolution is the first trial point's
+            return np.full_like(out, np.inf) if len(calls) == 2 else out
+
+        monkeypatch.setattr(solver_module, "_volterra", poisoned)
+        got = solve(spec)
+        assert len(calls) > 2
+        assert got.converged
+        assert math.isfinite(got.objective)
+        assert got.objective == pytest.approx(want.objective, rel=1e-6)
 
 
 def reference_direction(g, s_hist, y_hist):
