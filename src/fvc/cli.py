@@ -196,10 +196,10 @@ def write_trajectory(path: str, traj: TrajectoryPair):
 
 
 def _solver_config(args) -> SolverConfig:
-    kwargs = {}
-    if args.max_iters is not None:
-        kwargs["max_iters"] = args.max_iters
-    return SolverConfig(**kwargs)
+    try:
+        return SolverConfig(**({} if args.max_iters is None else {"max_iters": args.max_iters}))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def cmd_solve(args) -> int:
@@ -261,23 +261,25 @@ def cmd_sweep_alpha(args) -> int:
     if not alphas:
         raise InputError("--alphas must list at least one value")
     spec = load_problem(args.problem, args.n_cells)
+    # every alpha and the config are checked before the first solve
+    subs = [dataclasses.replace(spec, alpha=alpha) for alpha in alphas]
+    issues = [issue for sub in subs for issue in validate(sub)]
+    if issues:
+        raise InputError("; ".join(issues))
+    config = _solver_config(args)
     rows = []
-    for alpha in alphas:
-        sub = dataclasses.replace(spec, alpha=alpha)
-        issues = validate(sub)
-        if issues:
-            raise InputError("; ".join(issues))
-        result = solve(sub, _solver_config(args))
+    for sub in subs:
+        result = solve(sub, config)
         grad_u, grad_y = objective_gradient(sub, result.traj)
         grad_norm = float(
             np.sqrt(np.sum(grad_u.values**2) + np.sum(grad_y**2))
         )
         diag = nonexistence_diagnostic(sub, result)
         rows.append(
-            [alpha, result.objective, grad_norm, result.report.transversality_b,
+            [sub.alpha, result.objective, grad_norm, result.report.transversality_b,
              int(bool(diag["flag"]))]
         )
-        log.info("alpha=%g objective=%.6g flag=%s", alpha, result.objective, diag["flag"])
+        log.info("alpha=%g objective=%.6g flag=%s", sub.alpha, result.objective, diag["flag"])
     lines = ["alpha,objective,grad_norm,transversality_b,nonexistence_flag"]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))

@@ -10,15 +10,13 @@ present) and the weighted Legendre condition.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .convex import in_normal_cone, normal_cone_basis, project
-from .frac_ops import Grid, GridFn, rl_integral_right
-from .functional import constraint_value
+from .frac_ops import GridFn, _cell_moments, rl_integral_right
 from .model import ProblemSpec, TrajectoryPair
 
 __all__ = [
@@ -75,27 +73,17 @@ class ResidualReport:
 # -- shared profiles -------------------------------------------------------------
 
 
-def _node_weights(grid: Grid, order: float) -> np.ndarray:
-    """(b-t)^(order-1)/Gamma(order) at the nodes; the t=b entry, where the
-    weight is unbounded for order < 1, is zeroed (no quadrature reads it)."""
-    gaps = (grid.b - grid.nodes()).clip(min=0.0)
-    with np.errstate(divide="ignore"):
-        w = gaps ** (order - 1.0) / math.gamma(order)
-    if order < 1.0:
-        w[-1] = 0.0
-    return w
-
-
-def _right_terms(spec: ProblemSpec, traj: TrajectoryPair):
-    """The state x, the d1L profile and iw = I^(1-alpha)_right[weight * d2L].
-
-    iw is the one right integral that the EL residual, the multiplier and both
-    transversality norms share; build_report computes it once.
-    """
-    x = traj.state(spec.alpha)
-    d1, d2 = spec._plan.running(x.values, traj.u.values, "L_x", "L_u")
-    w = GridFn(spec.grid, _node_weights(spec.grid, spec.beta)[:, None] * d2)
-    return x, d1, rl_integral_right(w, 1.0 - spec.alpha)
+def _right_terms(spec: ProblemSpec, traj: TrajectoryPair, ends: bool = True):
+    """d1L, iw = I^(1-alpha)_right[weight * d2L] and, if ends, the endpoint parts
+    phi_a, phi_b (then g, g_a, g_b when constrained) from one plan call: what the
+    EL residual, the multiplier, transversality and the adjoint share."""
+    plan = spec._plan
+    x = traj.state(spec.alpha).values
+    d1, d2 = plan.running(x, traj.u.values, "L_x", "L_u")
+    w = GridFn(spec.grid, plan.node_weights(spec.beta)[:, None] * d2)
+    parts = ("phi_a", "phi_b") + (() if spec.constraint_map is None else ("g", "g_a", "g_b"))
+    endpoint = plan.endpoint(x[0], x[-1], *parts) if ends else None
+    return d1, rl_integral_right(w, 1.0 - spec.alpha), endpoint
 
 
 def _el_profile(spec: ProblemSpec, d1: np.ndarray, iw: GridFn):
@@ -107,38 +95,32 @@ def _el_profile(spec: ProblemSpec, d1: np.ndarray, iw: GridFn):
     return GridFn(spec.grid, r), float(np.max(np.abs(r)))
 
 
-def _transversality(spec: ProblemSpec, x: GridFn, iw: GridFn, psi=None):
-    i_a, i_b = iw.values[0], iw.values[-1]
-    xa, xb = x.values[0], x.values[-1]
-    dphi_a, dphi_b = spec._plan.endpoint(xa, xb, "phi_a", "phi_b")
-    vec_a = i_a - dphi_a
-    vec_b = i_b + dphi_b
+def _transversality(spec: ProblemSpec, iw: GridFn, ends: list, psi=None):
+    vec_a = iw.values[0] - ends[0]
+    vec_b = iw.values[-1] + ends[1]
     if psi is not None:
         psi = np.atleast_1d(np.asarray(psi, dtype=float))
         if psi.shape != (spec.n_constraints,):
             raise ValueError(
                 f"psi has shape {psi.shape}, problem has {spec.n_constraints} constraints"
             )
-        ga, gb = spec._plan.endpoint(xa, xb, "g_a", "g_b")
-        vec_a = vec_a + ga.T @ psi
-        vec_b = vec_b - gb.T @ psi
+        if spec.constraint_map is not None:  # an empty psi of a free problem adds nothing
+            ga, gb = ends[3:]
+            vec_a = vec_a + ga.T @ psi
+            vec_b = vec_b - gb.T @ psi
     return float(np.linalg.norm(vec_a)), float(np.linalg.norm(vec_b))
 
 
-def _multiplier(spec: ProblemSpec, x: GridFn, iw: GridFn):
-    plan = spec._plan
-    xa, xb = x.values[0], x.values[-1]
-    ga, gb = plan.endpoint(xa, xb, "g_a", "g_b")
+def _multiplier(spec: ProblemSpec, iw: GridFn, ends: list):
+    dphi_a, dphi_b, g_val, ga, gb = ends
     dg = np.hstack([ga, gb])
     sv = np.linalg.svd(dg, compute_uv=False)
     if sv.size == 0 or sv[-1] < REGULARITY_SV_TOL:
         raise RegularityError(
             f"constraint Jacobian is rank deficient (smallest singular value {sv[-1] if sv.size else 0.0:.2e})"
         )
-    g_val = constraint_value(spec, xa, xb)
     g_feas = project(spec.target_set, g_val)
     basis = normal_cone_basis(spec.target_set, g_feas)
-    dphi_a, dphi_b = plan.endpoint(xa, xb, "phi_a", "phi_b")
     system = np.vstack([ga.T, -gb.T])
     rhs = np.concatenate([dphi_a - iw.values[0], -(dphi_b + iw.values[-1])])
     psi = np.zeros(spec.n_constraints)
@@ -148,7 +130,7 @@ def _multiplier(spec: ProblemSpec, x: GridFn, iw: GridFn):
     # the cone test runs at the nearest feasible point so slightly infeasible
     # numerical candidates still get a meaningful verdict
     cone_ok = in_normal_cone(spec.target_set, g_feas, -psi, tol=1e-6)
-    return psi, cone_ok, _transversality(spec, x, iw, psi)
+    return psi, cone_ok, _transversality(spec, iw, ends, psi)
 
 
 # -- the residuals ---------------------------------------------------------------
@@ -161,7 +143,7 @@ def el_residual(spec: ProblemSpec, traj: TrajectoryPair):
            + int_t^b (b-s)^(beta-1)/Gamma(beta) d1L(s) ds,
     which vanishes identically along stationary trajectories.
     """
-    _, d1, iw = _right_terms(spec, traj)
+    d1, iw, _ = _right_terms(spec, traj, ends=False)
     return _el_profile(spec, d1, iw)
 
 
@@ -173,8 +155,8 @@ def transversality_residuals(spec: ProblemSpec, traj: TrajectoryPair, psi=None):
     is exactly zero for alpha < 1, so that residual reduces bitwise to the
     norm of the phi/constraint terms.
     """
-    x, _, iw = _right_terms(spec, traj)
-    return _transversality(spec, x, iw, psi)
+    _, iw, ends = _right_terms(spec, traj)
+    return _transversality(spec, iw, ends, psi)
 
 
 def extract_multiplier(spec: ProblemSpec, traj: TrajectoryPair):
@@ -186,8 +168,8 @@ def extract_multiplier(spec: ProblemSpec, traj: TrajectoryPair):
     """
     if spec.constraint_map is None:
         raise ValueError("problem has no endpoint constraints")
-    x, _, iw = _right_terms(spec, traj)
-    return _multiplier(spec, x, iw)
+    _, iw, ends = _right_terms(spec, traj)
+    return _multiplier(spec, iw, ends)
 
 
 def legendre_check(spec: ProblemSpec, traj: TrajectoryPair, tol: float = DEFAULT_LEGENDRE_TOL):
@@ -201,7 +183,7 @@ def legendre_check(spec: ProblemSpec, traj: TrajectoryPair, tol: float = DEFAULT
     x = traj.state(spec.alpha)
     (hess,) = spec._plan.running(x.values, traj.u.values, "L_uu")
     n_nodes = spec.grid.n_nodes
-    weight = _node_weights(spec.grid, spec.beta)
+    weight = spec._plan.node_weights(spec.beta)
     sym = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
     eigs = np.linalg.eigvalsh(sym)[:, 0] * weight
     lo, hi = 1, n_nodes if spec.beta >= 1.0 else n_nodes - 1
@@ -239,12 +221,9 @@ def rigidity_probe(
     if fit_degree < 0:
         raise ValueError("fit_degree must be nonnegative")
     t_eval = np.linspace(c, d, n_eval)
-    s_nodes = grid.nodes()
     # exact cell moments of the kernel: shape (n_eval, n_cells)
-    gaps_lo = t_eval[:, None] - s_nodes[None, :-1]
-    gaps_hi = t_eval[:, None] - s_nodes[None, 1:]
-    mom = (gaps_lo**alpha - gaps_hi.clip(min=0.0) ** alpha) / math.gamma(alpha + 1.0)
-    psi = mom @ u_left.values[:-1]
+    gaps = t_eval[:, None] - grid.nodes()[None, :]
+    psi = _cell_moments(gaps[:, :-1], gaps[:, 1:], alpha) @ u_left.values[:-1]
     # centered abscissa keeps the Vandermonde fit well conditioned
     tc = (t_eval - 0.5 * (c + d)) / (0.5 * (d - c))
     vand = np.vander(tc, fit_degree + 1)
@@ -268,33 +247,31 @@ def moments(u_left: GridFn, max_k: int) -> np.ndarray:
 # -- assembled report ------------------------------------------------------------
 
 
-def _adjoint_profile(spec: ProblemSpec, x: GridFn, d1: np.ndarray, psi) -> GridFn:
+def _adjoint_profile(spec: ProblemSpec, d1: np.ndarray, ends: list, psi) -> GridFn:
     """Adjoint vector p combining the endpoint weight and the memory term.
 
     The t=b node is zeroed when alpha < 1 (unbounded kernel weight there)."""
-    grid = spec.grid
-    xa, xb = x.values[0], x.values[-1]
-    weighted_d1 = GridFn(grid, _node_weights(grid, spec.beta)[:, None] * d1)
+    plan = spec._plan
+    weighted_d1 = GridFn(spec.grid, plan.node_weights(spec.beta)[:, None] * d1)
     memory = rl_integral_right(weighted_d1, spec.alpha)
-    (endpoint,) = spec._plan.endpoint(xa, xb, "phi_b")
+    endpoint = ends[1]
     if psi is not None:
-        (gb,) = spec._plan.endpoint(xa, xb, "g_b")
-        endpoint = endpoint - gb.T @ np.asarray(psi, dtype=float)
-    w_alpha = _node_weights(grid, spec.alpha)[:, None]
-    return GridFn(grid, w_alpha * endpoint[None, :] + memory.values)
+        endpoint = endpoint - ends[4].T @ np.asarray(psi, dtype=float)
+    w_alpha = plan.node_weights(spec.alpha)[:, None]
+    return GridFn(spec.grid, w_alpha * endpoint[None, :] + memory.values)
 
 
 def build_report(
     spec: ProblemSpec, traj: TrajectoryPair, legendre_tol: float = DEFAULT_LEGENDRE_TOL
 ) -> ResidualReport:
-    """Evaluate every necessary-condition residual for one candidate (two right integrals)."""
-    x, d1, iw = _right_terms(spec, traj)
+    """Every residual of one candidate, from two right integrals and one endpoint call."""
+    d1, iw, ends = _right_terms(spec, traj)
     profile, sup = _el_profile(spec, d1, iw)
     psi = cone_ok = None
     if spec.constraint_map is not None:
-        psi, cone_ok, (res_a, res_b) = _multiplier(spec, x, iw)
+        psi, cone_ok, (res_a, res_b) = _multiplier(spec, iw, ends)
     else:
-        res_a, res_b = _transversality(spec, x, iw)
+        res_a, res_b = _transversality(spec, iw, ends)
     leg_profile, leg_ok = legendre_check(spec, traj, legendre_tol)
     return ResidualReport(
         el_residual_sup=sup,
@@ -303,7 +280,7 @@ def build_report(
         transversality_b=res_b,
         legendre_min_eig_profile=leg_profile.values[:, 0],
         legendre_ok=leg_ok,
-        adjoint_p=_adjoint_profile(spec, x, d1, psi),
+        adjoint_p=_adjoint_profile(spec, d1, ends, psi),
         psi=psi,
         psi_in_cone=cone_ok,
     )

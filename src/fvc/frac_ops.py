@@ -108,12 +108,6 @@ class GridFn:
         return self.values.shape[1]
 
     @classmethod
-    def from_callable(cls, grid: Grid, f) -> "GridFn":
-        """Sample f(t) (scalar or vector valued) at the grid nodes."""
-        rows = np.array([np.atleast_1d(f(t)) for t in grid.nodes()], dtype=float)
-        return cls(grid, rows)
-
-    @classmethod
     def constant(cls, grid: Grid, value) -> "GridFn":
         row = np.atleast_1d(np.asarray(value, dtype=float))
         return cls(grid, np.tile(row, (grid.n_nodes, 1)))
@@ -158,6 +152,12 @@ def _kernel(alpha: float, h: float, n_cells: int) -> tuple[np.ndarray, np.ndarra
     return w, spectrum
 
 
+def _cell_moments(upper, lower, order: float) -> np.ndarray:
+    """(g1^order - g2^order)/Gamma(order+1) with both gaps clipped at 0: the
+    exact integral of (gap)^(order-1)/Gamma(order) over each cell."""
+    return (upper.clip(min=0.0) ** order - lower.clip(min=0.0) ** order) / math.gamma(order + 1.0)
+
+
 @functools.lru_cache(maxsize=16)
 def beta_cell_weights(grid: Grid, beta: float) -> np.ndarray:
     """Exact integrals of (b-s)^(beta-1)/Gamma(beta) over each cell.
@@ -166,9 +166,8 @@ def beta_cell_weights(grid: Grid, beta: float) -> np.ndarray:
     """
     if beta <= 0:
         raise ValueError(f"need beta > 0, got {beta}")
-    t = grid.nodes()
-    gaps = (grid.b - t).clip(min=0.0)
-    w = (gaps[:-1] ** beta - gaps[1:] ** beta) / math.gamma(beta + 1.0)
+    gaps = grid.b - grid.nodes()
+    w = _cell_moments(gaps[:-1], gaps[1:], beta)
     w.setflags(write=False)
     return w
 
@@ -245,15 +244,8 @@ def rl_integral_right_at(w: GridFn, order: float, t: float) -> np.ndarray:
     grid = w.grid
     if t >= grid.b:
         return np.zeros(w.dim)
-    nodes = grid.nodes()
-    lo = np.maximum(nodes[:-1], t)
-    hi = nodes[1:]
-    mask = hi > t
-    moments = np.zeros(grid.n_cells)
-    moments[mask] = ((hi[mask] - t) ** order - (lo[mask] - t) ** order) / math.gamma(
-        order + 1.0
-    )
-    return moments @ w.values[:-1]
+    gaps = grid.nodes() - t
+    return _cell_moments(gaps[1:], gaps[:-1], order) @ w.values[:-1]
 
 
 def caputo_derivative_left(x: GridFn, alpha: float) -> GridFn:
@@ -298,8 +290,5 @@ def window_variation(
         raise ValueError(f"window [{tau}, {tau + h}] outside [{grid.a}, {grid.b}]")
     v = np.atleast_1d(np.asarray(v, dtype=float))
     t = grid.nodes()
-    ga = math.gamma(1.0 + alpha)
-    left = np.where(t > tau, (t - tau).clip(min=0.0) ** alpha, 0.0)
-    right = np.where(t > tau + h, (t - (tau + h)).clip(min=0.0) ** alpha, 0.0)
-    profile = (left - right) / ga
+    profile = _cell_moments(t - tau, t - (tau + h), alpha)
     return GridFn(grid, profile[:, None] * v[None, :])

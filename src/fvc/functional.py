@@ -19,7 +19,6 @@ from .model import ProblemSpec, TrajectoryPair
 
 __all__ = [
     "NeedleParams",
-    "SecondDiffData",
     "bolza_eval",
     "gateaux_first",
     "gateaux_second",
@@ -47,18 +46,6 @@ class NeedleParams:
         object.__setattr__(self, "v", v)
         if self.h <= 0:
             raise ValueError("needle window must have positive width")
-
-
-@dataclass(frozen=True)
-class SecondDiffData:
-    """Hessian blocks of phi (A, B, C) and of L (P, Q, Rmat) along a trajectory."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    P: np.ndarray  # (n_nodes, n, n)
-    Q: np.ndarray
-    Rmat: np.ndarray
 
 
 def constraint_value(spec: ProblemSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -132,27 +119,23 @@ def gateaux_first(spec: ProblemSpec, traj: TrajectoryPair, eta: TrajectoryPair) 
     return float(dphi_a @ eta_x.values[0] + dphi_b @ eta_x.values[-1]) + integral
 
 
-def second_diff_data(spec: ProblemSpec, traj: TrajectoryPair) -> SecondDiffData:
-    plan = spec._plan
-    x = traj.state(spec.alpha)
-    A, B, C = plan.endpoint(x.values[0], x.values[-1], "phi_aa", "phi_ab", "phi_bb")
-    P, Q, Rmat = plan.running(x.values, traj.u.values, "L_xx", "L_xu", "L_uu")
-    return SecondDiffData(A=A, B=B, C=C, P=P, Q=Q, Rmat=Rmat)
-
-
 def gateaux_second(spec: ProblemSpec, traj: TrajectoryPair, eta: TrajectoryPair) -> float:
-    """Second directional differential (quadratic form in eta)."""
-    data = second_diff_data(spec, traj)
+    """Second directional differential (quadratic form in eta): the Hessian
+    blocks of phi (A, B, C) and of L (P, Q, R) along traj, applied to eta."""
+    plan = spec._plan
+    x = traj.state(spec.alpha).values
+    A, B, C = plan.endpoint(x[0], x[-1], "phi_aa", "phi_ab", "phi_bb")
+    P, Q, R = plan.running(x, traj.u.values, "L_xx", "L_xu", "L_uu")
     eta_x = eta.state(spec.alpha).values
     nu = eta.u.values
     ea, eb = eta_x[0], eta_x[-1]
-    endpoint = float(ea @ data.A @ ea + 2.0 * ea @ data.B @ eb + eb @ data.C @ eb)
+    endpoint = float(ea @ A @ ea + 2.0 * ea @ B @ eb + eb @ C @ eb)
     quad = (
-        np.einsum("ki,kij,kj->k", eta_x, data.P, eta_x)
-        + 2.0 * np.einsum("ki,kij,kj->k", eta_x, data.Q, nu)
-        + np.einsum("ki,kij,kj->k", nu, data.Rmat, nu)
+        np.einsum("ki,kij,kj->k", eta_x, P, eta_x)
+        + 2.0 * np.einsum("ki,kij,kj->k", eta_x, Q, nu)
+        + np.einsum("ki,kij,kj->k", nu, R, nu)
     )
-    return endpoint + float(spec._plan.w_beta @ quad[:-1])
+    return endpoint + float(plan.w_beta @ quad[:-1])
 
 
 # -- needle perturbations --------------------------------------------------------

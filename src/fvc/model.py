@@ -61,6 +61,8 @@ class Singleton(ConvexSet):
 
     def __post_init__(self):
         object.__setattr__(self, "point", tuple(float(p) for p in self.point))
+        if not all(math.isfinite(p) for p in self.point):
+            raise ValueError("singleton point must be finite")
 
     @property
     def dim(self) -> int:
@@ -81,7 +83,7 @@ class Box(ConvexSet):
         object.__setattr__(self, "upper", hi)
         if len(lo) != len(hi):
             raise ValueError("box bounds must have equal length")
-        if any(l > u for l, u in zip(lo, hi)):
+        if any(not (l <= u) for l, u in zip(lo, hi)):  # NaN fails this too
             raise ValueError("box requires lower <= upper componentwise")
 
     @property
@@ -214,11 +216,26 @@ class _Plan:
         self._running = ("t", *(f"x{i}" for i in n), *(f"u{i}" for i in n))
         self._endpoint = (*(f"xa{i}" for i in n), *(f"xb{i}" for i in n))
         self._groups = {}
+        self._node_weights = {}
 
     @functools.cached_property
     def w_beta(self) -> np.ndarray:
         """The weight of each cell in I^beta[.](b) (beta_cell_weights)."""
         return beta_cell_weights(self.spec.grid, self.spec.beta)
+
+    def node_weights(self, order: float) -> np.ndarray:
+        """(b-t)^(order-1)/Gamma(order) at the nodes, read-only and cached per order;
+        the t=b entry, unbounded for order < 1, is zeroed (no quadrature reads it)."""
+        w = self._node_weights.get(order)
+        if w is None:
+            gaps = (self.spec.grid.b - self.nodes).clip(min=0.0)
+            with np.errstate(divide="ignore"):
+                w = gaps ** (order - 1.0) / math.gamma(order)
+            if order < 1.0:
+                w[-1] = 0.0
+            w.setflags(write=False)
+            self._node_weights[order] = w
+        return w
 
     @functools.cached_property
     def w_alpha_rev(self) -> np.ndarray:
@@ -310,12 +327,8 @@ def validate(spec: ProblemSpec) -> list:
         issues.append(f"beta: must be positive: {spec.beta}")
     if spec.dim < 1:
         issues.append(f"dim: must be a positive integer: {spec.dim}")
-    endpoint_vars = set()
-    for i in range(spec.dim):
-        endpoint_vars |= {f"xa{i + 1}", f"xb{i + 1}"}
-    lag_vars = {"t"}
-    for i in range(spec.dim):
-        lag_vars |= {f"x{i + 1}", f"u{i + 1}"}
+    endpoint_vars = {f"{stem}{i + 1}" for stem in ("xa", "xb") for i in range(spec.dim)}
+    lag_vars = {"t"} | {f"{stem}{i + 1}" for stem in ("x", "u") for i in range(spec.dim)}
     bad = free_variables(spec.phi) - endpoint_vars
     if bad:
         issues.append(f"phi: uses non-endpoint variables {sorted(bad)}")
@@ -342,10 +355,6 @@ def _validate_set(s: Optional[ConvexSet], path: str) -> list:
     if s is None:
         return []
     issues = []
-    if isinstance(s, Box):
-        for i, (lo, hi) in enumerate(zip(s.lower, s.upper)):
-            if lo > hi:
-                issues.append(f"{path}.box[{i}]: lower > upper")
     if isinstance(s, Ball):
         if not s.radius >= 0:
             issues.append(f"{path}.ball: radius must be nonnegative, got {s.radius}")

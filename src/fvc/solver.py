@@ -79,9 +79,11 @@ class SolverConfig:
             raise ValueError("penalty weights must be positive, one per epsilon")
         if self.grad_tol <= 0 or not (0 < self.shrink < 1 and 0 < self.sufficient_decrease < 1):
             raise ValueError("grad_tol must be positive; shrink and sufficient_decrease in (0, 1)")
-        # memory sizes the descent's block of correction pairs
-        if not isinstance(self.memory, int) or isinstance(self.memory, bool) or self.memory < 0:
-            raise ValueError("memory must be a non-negative integer")
+        # max_iters bounds the iterations; memory sizes the descent's block of correction pairs
+        for name, least in (("max_iters", 1), ("memory", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         object.__setattr__(self, "epsilon_schedule", eps)
         object.__setattr__(self, "penalty_weights", rho)
 

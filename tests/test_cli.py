@@ -70,6 +70,16 @@ class TestLoadProblem:
         assert main(["solve", path]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("kind, target", [
+        ("singleton", {"type": "singleton", "point": [math.nan]}),
+        ("box", {"type": "box", "lower": [math.nan], "upper": [1.0]}),
+    ])
+    def test_nan_set_coordinates_rejected(self, problem_file, capsys, kind, target):
+        path = problem_file(constraint={"g": ["xb1"], "set": target})
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"bad {kind} descriptor" in err
+
     def test_standard_constraint_block(self, problem_file):
         path = problem_file(
             constraint={"kind": "fixed_both", "x_a": [0.0], "x_b": [1.0]}
@@ -121,6 +131,11 @@ class TestSolveCommand:
 
     def test_iteration_budget_exit_code(self, problem_file):
         assert main(["solve", problem_file(), "--max-iters", "1"]) == 2
+
+    @pytest.mark.parametrize("max_iters", ["-3", "0"])
+    def test_nonpositive_iteration_budget_rejected(self, problem_file, capsys, max_iters):
+        assert main(["solve", problem_file(), "--max-iters", max_iters]) == 1
+        assert "max_iters must be an integer >= 1" in capsys.readouterr().err
 
     def test_trial_point_outside_domain(self, problem_file, capsys):
         path = problem_file(
@@ -337,6 +352,13 @@ class TestSweepCommand:
 
     def test_bad_alpha_value_in_list(self, problem_file):
         assert main(["sweep-alpha", problem_file(), "--alphas", "1.0,0.0"]) == 1
+
+    def test_every_alpha_checked_before_solving(self, problem_file, monkeypatch, capsys):
+        solves = []
+        monkeypatch.setattr("fvc.cli.solve", lambda *args: solves.append(args))
+        assert main(["sweep-alpha", problem_file(), "--alphas", "0.5,nan"]) == 1
+        assert solves == []
+        assert "alpha: out of (0,1]: nan" in capsys.readouterr().err
 
     def test_stdout_fallback(self, problem_file, capsys):
         code = main(

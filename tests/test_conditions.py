@@ -22,6 +22,7 @@ from fvc import (
     standard_constraint,
     transversality_residuals,
 )
+from fvc.model import _Plan
 
 from conftest import classic_spec, oracle_trajectory, zero_trajectory
 
@@ -324,6 +325,21 @@ class TestReport:
         monkeypatch.setattr("fvc.conditions.rl_integral_right", counting)
         build_report(spec, traj)
         assert orders == [pytest.approx(1.0 - spec.alpha), spec.alpha]
+
+    @pytest.mark.parametrize("kind", ["free", "constrained"])
+    def test_one_endpoint_call_per_report(self, kind, monkeypatch, rng):
+        # phi_a, phi_b and, when constrained, g, g_a, g_b come from one plan call
+        spec, traj = random_candidate(kind, rng)
+        calls = []
+        original = _Plan.endpoint
+
+        def counting(plan, xa, xb, *parts):
+            calls.append(parts)
+            return original(plan, xa, xb, *parts)
+
+        monkeypatch.setattr(_Plan, "endpoint", counting)
+        build_report(spec, traj)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", ["free", "constrained"])
     def test_report_matches_public_residuals(self, kind, rng):

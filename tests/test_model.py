@@ -40,6 +40,16 @@ class TestSets:
         with pytest.raises(ValueError):
             Box((1.0,), (0.0,))
 
+    @pytest.mark.parametrize("make", [
+        lambda: Singleton((0.0, float("nan"))),
+        lambda: Singleton((float("inf"),)),
+        lambda: Box((float("nan"),), (1.0,)),
+        lambda: Box((0.0,), (float("nan"),)),
+    ])
+    def test_non_finite_points_and_nan_bounds_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     def test_box_infinite_bounds(self):
         b = Box((-np.inf,), (np.inf,))
         assert b.dim == 1

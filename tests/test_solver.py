@@ -797,6 +797,13 @@ class TestSkippedStages:
         assert result.feasibility_distance < 1e-6
 
 
+class TestIterationBudgetValidation:
+    @pytest.mark.parametrize("max_iters", [0, -3, 2.5, True, None])
+    def test_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=max_iters)
+
+
 class TestMemoryValidation:
     @pytest.mark.parametrize("memory", [-1, 2.5, 3.0, True, "3", None])
     def test_rejected(self, memory):
