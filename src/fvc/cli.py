@@ -1,8 +1,8 @@
 """Command-line front end: solve problems, check candidates, sweep alpha.
 
 Problems are JSON documents, trajectories are CSV files with a "# y = ..."
-metadata line. Exit codes: 0 success, 1 input error, 2 iteration budget
-exhausted, 3 residuals above tolerance.
+metadata line. Exit codes: 0 success, 1 input error, 2 not converged (budget
+exhausted or line search stalled), 3 residuals above tolerance.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ The product-integration sums are discrete Volterra convolutions. They are
 evaluated by FFT in O(n log n), with the kernel weights and their spectrum
 cached per (order, grid). The FFT runs in a per-thread workspace: a complex
 spectrum buffer and a real output buffer for the current (FFT length, column
-count), replaced when that key changes. The convolution therefore returns a
-view into the workspace, valid only until the next convolution on the same
-thread; every caller copies it out or adds it in place at once.
+count), replaced when that key changes. The view into it that a convolution
+returns never leaves this module: _left_sums, the one kernel behind both
+integrals, the states x = y + I^alpha[u] and the gradient, copies it out.
 """
 
 from __future__ import annotations
@@ -180,8 +180,8 @@ def _volterra(cells: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
 
     w are the order-alpha weights of grid; cells has at most n_cells rows and
     out has as many rows as cells. out is a view into this thread's FFT
-    workspace and is valid only until the next call on the same thread:
-    callers copy it out or add it in place at once. The workspace holds the
+    workspace, valid only until the next call on the same thread: its one
+    caller, _left_sums, copies it out at once. The workspace holds the
     buffers of one (n_fft, columns) key and is replaced when the key changes.
     """
     spectrum = _kernel(alpha, grid.h, grid.n_cells)[1]
@@ -200,6 +200,12 @@ def _volterra(cells: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
     return real_buf[: cells.shape[0]]
 
 
+def _left_sums(cells: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
+    """out[k] = sum_{i<k} cells[i] * w[k-1-i] for k = 0..len(cells) (out[0] = 0),
+    w the order-alpha weights of grid, in a fresh array of len(cells) + 1 rows."""
+    return np.concatenate((np.zeros((1, cells.shape[1])), _volterra(cells, alpha, grid)))
+
+
 def rl_integral_left(u: GridFn, alpha: float) -> GridFn:
     """Left RL integral of order alpha >= 0, sampled at all nodes.
 
@@ -211,10 +217,7 @@ def rl_integral_left(u: GridFn, alpha: float) -> GridFn:
         raise FracDomainError(f"need alpha >= 0, got {alpha}")
     if alpha == 0:
         return u
-    out = np.zeros_like(u.values)
-    # node k accumulates sum_{i<k} u_i * w_{k-1-i}
-    out[1:] = _volterra(u.values[:-1], alpha, u.grid)
-    return u.with_values(out)
+    return u.with_values(_left_sums(u.values[:-1], alpha, u.grid))
 
 
 def rl_integral_right(u: GridFn, alpha: float) -> GridFn:
@@ -227,10 +230,8 @@ def rl_integral_right(u: GridFn, alpha: float) -> GridFn:
         raise FracDomainError(f"need alpha >= 0, got {alpha}")
     if alpha == 0:
         return u
-    out = np.zeros_like(u.values)
-    # node k accumulates sum_{i>=k} u_i * w_{i-k}; correlate by reversal
-    out[:-1] = _volterra(u.values[-2::-1], alpha, u.grid)[::-1]
-    return u.with_values(out)
+    # node k accumulates sum_{i>=k} u_i * w_{i-k}: the left sums of the reversed cells
+    return u.with_values(_left_sums(u.values[-2::-1], alpha, u.grid)[::-1])
 
 
 def rl_integral_right_at(w: GridFn, order: float, t: float) -> np.ndarray:
@@ -271,8 +272,9 @@ def reconstruct_trajectory(u: GridFn, y: np.ndarray, alpha: float) -> GridFn:
         raise GridMismatchError(f"initial value has dim {y.shape}, control has dim {u.dim}")
     if not (0.0 < alpha <= 1.0):
         raise FracDomainError(f"need alpha in (0,1], got {alpha}")
-    integ = rl_integral_left(u, alpha)
-    return u.with_values(integ.values + y)
+    x = _left_sums(u.values[:-1], alpha, u.grid)
+    x += y
+    return u.with_values(x)
 
 
 def window_variation(

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import dist
-from .frac_ops import Grid, GridFn, _volterra, beta_cell_weights
-from .model import ProblemSpec, TrajectoryPair
+from .frac_ops import Grid, GridFn, _left_sums, beta_cell_weights
+from .model import ProblemSpec, TrajectoryPair, WholeSpace
 
 __all__ = [
     "NeedleParams",
@@ -67,6 +67,16 @@ def _cost(plan, x: np.ndarray, u: np.ndarray, *parts) -> tuple:
     return mayer + integral, extra
 
 
+def _cost_and_distance(spec: ProblemSpec, traj: TrajectoryPair) -> tuple:
+    """The cost of traj and the distance of g(x(a), x(b)) to the target set, from
+    one _cost call; the distance is 0 without a constraint or to the whole space."""
+    x, u = traj.state(spec.alpha).values, traj.u.values
+    if spec.constraint_map is None or isinstance(spec.target_set, WholeSpace):
+        return _cost(spec._plan, x, u)[0], 0.0
+    value, (g_val,) = _cost(spec._plan, x, u, "g")
+    return value, dist(spec.target_set, g_val)
+
+
 def _cost_gradient(plan, x: np.ndarray, u: np.ndarray, out: np.ndarray, outer=None):
     """Gradient of the cost in the cell controls and y, written into out.
 
@@ -90,7 +100,7 @@ def _cost_gradient(plan, x: np.ndarray, u: np.ndarray, out: np.ndarray, outer=No
     grad_u += plan.w_alpha_rev * dphi_b[None, :]
     # transpose of the causal fractional-integral map: cell j collects the
     # downstream contributions of d1L at cells j+1..n-1
-    grad_u[:-1] += _volterra(weighted_d1[:0:-1], spec.alpha, spec.grid)[::-1]
+    grad_u[:-1] += _left_sums(weighted_d1[:0:-1], spec.alpha, spec.grid)[:0:-1]
     grad_y[:] = dphi_a + dphi_b + weighted_d1.sum(axis=0)
     if outer is not None:
         ga, gb = jacobian
@@ -257,11 +267,5 @@ def penalized_value(
     """Ekeland-style penalty: sqrt(((cost - ref + eps)^+)^2 + dist^2 to the target)."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    gap = max(bolza_eval(spec, traj) - ref_value + epsilon, 0.0)
-    if spec.constraint_map is None:
-        feas = 0.0
-    else:
-        x = traj.state(spec.alpha)
-        g = constraint_value(spec, x.values[0], x.values[-1])
-        feas = dist(spec.target_set, g)
-    return math.hypot(gap, feas)
+    cost, feas = _cost_and_distance(spec, traj)
+    return math.hypot(max(cost - ref_value + epsilon, 0.0), feas)

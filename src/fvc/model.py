@@ -378,9 +378,13 @@ def standard_constraint(kind: str, n: int, x_a=None, x_b=None):
     if kind == "free":
         return identity, WholeSpace(2 * n)
     if kind == "fixed_initial":
+        if x_a is None:
+            raise ValueError("fixed_initial needs x_a")
         point = np.broadcast_to(np.asarray(x_a, dtype=float), (n,))
         return identity, Product((Singleton(tuple(point)), WholeSpace(n)))
     if kind == "fixed_both":
+        if x_a is None or x_b is None:
+            raise ValueError("fixed_both needs x_a and x_b")
         pa = np.broadcast_to(np.asarray(x_a, dtype=float), (n,))
         pb = np.broadcast_to(np.asarray(x_b, dtype=float), (n,))
         return identity, Singleton(tuple(pa) + tuple(pb))

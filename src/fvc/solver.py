@@ -11,10 +11,10 @@ every other rejected trial (an evaluation error, a decrease that is not
 sufficient, a change at rounding level) multiplies the step by a fixed factor.
 
 Trial points are evaluated on plain arrays, not on GridFn or TrajectoryPair
-objects: the control rows and the state x = y + I^alpha[u] come from one
-convolution, the cost from the array kernels that bolza_eval and
-objective_gradient wrap, and a non-finite state is a rejected step. Only the
-final point of a solve becomes a TrajectoryPair.
+objects: the state x = y + I^alpha[u] is the frac_ops left-sum kernel plus y,
+the cost comes from the array kernels that bolza_eval and objective_gradient
+wrap, and a non-finite state is a rejected step. Only the final point becomes
+a TrajectoryPair, whose objective and distance come from the same cost kernel.
 
 Each descent keeps its L-BFGS correction pairs (s, y) in the rows of one block
 of memory + 1 rows, allocated once per descent as in the fixed storage of
@@ -33,10 +33,10 @@ from typing import Optional
 import numpy as np
 
 from .conditions import ResidualReport, build_report
-from .convex import dist, project
+from .convex import project
 from .expr import EvalError, Var
-from .frac_ops import GridFn, _volterra
-from .functional import _cost, _cost_gradient, bolza_eval, constraint_value
+from .frac_ops import GridFn, _left_sums
+from .functional import _cost, _cost_and_distance, _cost_gradient
 from .model import ProblemSpec, TrajectoryPair, WholeSpace
 
 __all__ = [
@@ -60,11 +60,9 @@ class SolverConfig:
     epsilon_schedule: tuple = (1e-3, 1e-4, 1e-5, 1e-6)
     penalty_weights: tuple = (1e3, 1e4, 1e5, 1e6)
     max_iters: int = 5000
-    grad_tol: float = 1e-7
     shrink: float = 0.5
     sufficient_decrease: float = 1e-4
     memory: int = 10
-    eps_grad_scale: float = 1e-3
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -77,8 +75,8 @@ class SolverConfig:
         rho = tuple(float(r) for r in self.penalty_weights)
         if len(rho) != len(eps) or any(r <= 0 for r in rho):
             raise ValueError("penalty weights must be positive, one per epsilon")
-        if self.grad_tol <= 0 or not (0 < self.shrink < 1 and 0 < self.sufficient_decrease < 1):
-            raise ValueError("grad_tol must be positive; shrink and sufficient_decrease in (0, 1)")
+        if not (0 < self.shrink < 1 and 0 < self.sufficient_decrease < 1):
+            raise ValueError("shrink and sufficient_decrease must be in (0, 1)")
         # max_iters bounds the iterations; memory sizes the descent's block of correction pairs
         for name, least in (("max_iters", 1), ("memory", 0)):
             value = getattr(self, name)
@@ -132,10 +130,6 @@ def _traj_from(spec: ProblemSpec, z: np.ndarray) -> TrajectoryPair:
     return TrajectoryPair(GridFn(spec.grid, _controls(spec, z)), z[spec.grid.n_cells * spec.dim :])
 
 
-def _pack(spec: ProblemSpec, traj: TrajectoryPair) -> np.ndarray:
-    return np.concatenate([traj.u.values[:-1].ravel(), traj.y])
-
-
 def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float):
     """Value of Phi + rho * dist^2 to the target set, and a thunk for its gradient.
 
@@ -149,9 +143,7 @@ def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float):
     """
     plan = spec._plan
     u = _controls(spec, z)
-    x = np.empty_like(u)
-    x[0] = 0.0
-    x[1:] = _volterra(u[:-1], spec.alpha, spec.grid)
+    x = _left_sums(u[:-1], spec.alpha, spec.grid)
     x += z[spec.grid.n_cells * spec.dim :]
     if not (np.isfinite(u).all() and np.isfinite(x).all()):
         raise SolverError("trial control or state is not finite")
@@ -305,7 +297,7 @@ def solve(
     """Minimize the discrete Bolza cost, with penalty stages when constrained."""
     if initial is None:
         initial = default_initial(spec)
-    z = _pack(spec, initial)
+    z = np.concatenate([initial.u.values[:-1].ravel(), initial.y])
     lo, hi = _bounds(spec, config.radius)
     # the distance to the whole space is identically zero: no penalty stages
     constrained = spec.constraint_map is not None and not isinstance(spec.target_set, WholeSpace)
@@ -315,7 +307,7 @@ def solve(
     total_iters = 0
     converged = False
     for eps, rho in stages:
-        tol = max(config.grad_tol, math.sqrt(eps) * config.eps_grad_scale)
+        tol = max(1e-7, math.sqrt(eps) * 1e-3)  # the floor binds only for eps < 1e-8
         budget = config.max_iters - total_iters
         if budget <= 0:
             converged = False  # a skipped stage never reached its tolerance
@@ -324,13 +316,10 @@ def solve(
         z, _, _, used, converged = _descend(fun, z, lo, hi, tol, budget, config)
         total_iters += used
     traj = _traj_from(spec, z)
-    feas = 0.0
-    if constrained:
-        x = traj.state(spec.alpha)
-        feas = dist(spec.target_set, constraint_value(spec, x.values[0], x.values[-1]))
+    objective, feas = _cost_and_distance(spec, traj)
     return SolveResult(
         traj=traj,
-        objective=bolza_eval(spec, traj),
+        objective=objective,
         feasibility_distance=feas,
         report=build_report(spec, traj),
         iterations=total_iters,

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fvc import Grid, GridFn, TrajectoryPair
+from fvc import Grid, GridFn, SolverConfig, TrajectoryPair
 from fvc.cli import InputError, load_problem, load_trajectory, main, write_trajectory
 
 CLASSIC = {
@@ -87,6 +87,15 @@ class TestLoadProblem:
         spec = load_problem(path)
         assert spec.n_constraints == 2
 
+    @pytest.mark.parametrize("constraint, message", [
+        ({"kind": "fixed_both", "x_a": [0]}, "fixed_both needs x_a and x_b"),
+        ({"kind": "fixed_initial"}, "fixed_initial needs x_a"),
+    ])
+    def test_standard_constraint_missing_endpoint(self, problem_file, capsys, constraint, message):
+        assert main(["solve", problem_file(constraint=constraint)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_explicit_constraint_block(self, problem_file):
         path = problem_file(
             constraint={
@@ -149,6 +158,18 @@ class TestSolveCommand:
             alpha=0.8, phi="5*xb1", lagrangian="0.5*u1^2 - log(1 + x1)", grid={"n_cells": 128}
         )
         assert main(["solve", path]) == 2
+
+    def test_stalled_line_search_exit_code(self, problem_file, tmp_path):
+        # exit 2 also covers a line search that stalls with budget left
+        path = problem_file(
+            alpha=0.6, beta=0.6, phi="0",
+            constraint={"kind": "fixed_both", "x_a": [0], "x_b": [1]},
+        )
+        out = tmp_path / "result.json"
+        assert main(["solve", path, "--out", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["converged"] is False
+        assert doc["iterations"] < SolverConfig().max_iters
 
     def test_evaluation_error_reported(self, problem_file, capsys):
         # the default start x = 0 is outside the domain of log(x1)

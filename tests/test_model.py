@@ -219,6 +219,15 @@ class TestStandardConstraint:
         with pytest.raises(ValueError):
             standard_constraint("clamped", 1)
 
+    @pytest.mark.parametrize("kind, x_a, x_b, message", [
+        ("fixed_initial", None, None, "fixed_initial needs x_a"),
+        ("fixed_both", [0.0], None, "fixed_both needs x_a and x_b"),
+        ("fixed_both", None, [1.0], "fixed_both needs x_a and x_b"),
+    ])
+    def test_missing_endpoint_value(self, kind, x_a, x_b, message):
+        with pytest.raises(ValueError, match=message):
+            standard_constraint(kind, 1, x_a, x_b)
+
 
 class TestTrajectoryPair:
     def test_dimension_checked(self):
@@ -251,6 +260,21 @@ class TestTrajectoryPair:
             fresh = reconstruct_trajectory(traj.u, traj.y, alpha)
             assert np.array_equal(x.values, fresh.values)
         assert not x_half.values.flags.writeable
+
+    def test_state_builds_one_grid_function(self, monkeypatch):
+        g = Grid(0.0, 1.0, 16)
+        traj = TrajectoryPair(GridFn(g, np.cos(3.0 * g.nodes())), np.array([0.5]))
+        built = []
+        original = GridFn.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(GridFn, "__post_init__", counting)
+        for alpha in (0.5, 0.5, 1.0):
+            traj.state(alpha)
+        assert len(built) == 2  # one per new alpha, none for the cached one
 
     def test_replace_does_not_inherit_state(self):
         g = Grid(0.0, 1.0, 16)

@@ -21,7 +21,7 @@ from fvc import (
     solve,
     standard_constraint,
 )
-from fvc import frac_ops, functional
+from fvc import frac_ops, functional, model
 from fvc import solver as solver_module
 from fvc import EvalError, dist, dist_sq_gradient, evaluate
 from fvc.frac_ops import FracWeights
@@ -371,6 +371,21 @@ class TestSolve:
         assert not result.converged
 
 
+@pytest.mark.parametrize("kind", [None, "free", "fixed_both", "periodic"])
+def test_solve_reports_the_cost_of_its_trajectory(kind):
+    spec = classic_spec(n_cells=64, alpha=0.7)
+    if kind is not None:
+        g, s = standard_constraint(kind, 1, 0.0, 1.0)
+        spec = dataclasses.replace(spec, phi=parse("0", 1), constraint_map=g, target_set=s)
+    result = solve(spec)
+    assert result.objective.hex() == bolza_eval(spec, result.traj).hex()
+    want = 0.0
+    if kind is not None:
+        x = result.traj.state(spec.alpha).values
+        want = dist(spec.target_set, constraint_value(spec, x[0], x[-1]))
+    assert result.feasibility_distance.hex() == want.hex()
+
+
 class TestEvaluationCounts:
     """Each trial point makes one convolution; gradients only at accepted points."""
 
@@ -397,26 +412,27 @@ class TestEvaluationCounts:
         spec = self._fixed_both_spec()
         config = SolverConfig()
         counts = {}
-        self._count(monkeypatch, frac_ops, "rl_integral_left", counts)
+        self._count(monkeypatch, model, "reconstruct_trajectory", counts, "state")
         self._count(monkeypatch, solver_module, "_penalized", counts)
         self._count(monkeypatch, solver_module, "_cost", counts)
         self._count(monkeypatch, solver_module, "_cost_gradient", counts)
-        # forward convolutions of trial points, transposes in gradients, the rest
-        self._count(monkeypatch, solver_module, "_volterra", counts, "forward")
-        self._count(monkeypatch, functional, "_volterra", counts, "transpose")
-        self._count(monkeypatch, frac_ops, "_volterra", counts, "operators")
+        # kernels of trial-point states, transposed kernels in gradients, and
+        # every convolution, which all run through frac_ops._volterra
+        self._count(monkeypatch, solver_module, "_left_sums", counts, "forward")
+        self._count(monkeypatch, functional, "_left_sums", counts, "transpose")
+        self._count(monkeypatch, frac_ops, "_volterra", counts, "convolutions")
         result = solve(spec, config)
         assert result.iterations < config.max_iters
         assert counts["forward"] == counts["_cost"] == counts["_penalized"]
         n_stages = len(config.epsilon_schedule)
         assert counts["_cost_gradient"] == result.iterations + n_stages
         assert counts["transpose"] == counts["_cost_gradient"]
-        assert counts["forward"] + counts["transpose"] + counts["operators"] == 67
+        assert counts["convolutions"] == 67
 
         counts.clear()
         fresh = TrajectoryPair(result.traj.u, result.traj.y)
         build_report(spec, fresh)
-        assert counts["rl_integral_left"] == 1
+        assert counts["state"] == 1
 
     def test_grid_functions_do_not_grow_with_evaluations(self, monkeypatch):
         spec = self._fixed_both_spec()
@@ -562,16 +578,16 @@ class TestPenalizedParts:
     def test_non_finite_state_is_a_rejected_step(self, monkeypatch):
         spec = classic_spec(n_cells=64, alpha=0.7)
         want = solve(spec)
-        original = solver_module._volterra
+        original = solver_module._left_sums
         calls = []
 
         def poisoned(*args):
             out = original(*args)
             calls.append(1)
-            # the second forward convolution is the first trial point's
+            # the second forward kernel call is the first trial point's
             return np.full_like(out, np.inf) if len(calls) == 2 else out
 
-        monkeypatch.setattr(solver_module, "_volterra", poisoned)
+        monkeypatch.setattr(solver_module, "_left_sums", poisoned)
         got = solve(spec)
         assert len(calls) > 2
         assert got.converged
