@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -62,7 +64,7 @@ def _parse_set(doc) -> ConvexSet:
     kind = doc["type"]
     try:
         if kind == "whole_space":
-            return WholeSpace(int(doc["n"]))
+            return WholeSpace(_integer(doc["n"], "n"))
         if kind == "singleton":
             return Singleton(tuple(doc["point"]))
         if kind == "box":
@@ -79,20 +81,51 @@ def _parse_set(doc) -> ConvexSet:
     raise InputError(f"unknown set type {kind!r}")
 
 
+def _integer(value, key: str) -> int:
+    """value as an int; a bool, a fraction or a non-number is a ValueError naming key."""
+    if not isinstance(value, bool):
+        try:
+            if int(value) == float(value):
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{key}: must be an integer, got {value!r}")
+
+
 def load_problem(path: str, n_cells_override=None) -> ProblemSpec:
+    """The problem in the JSON file at path; an unchanged file gives the same spec.
+
+    The spec is frozen and its plan only ever adds compiled groups and weights,
+    so a process that checks many candidates against one problem parses,
+    differentiates and compiles it once.
+    """
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if n_cells_override is not None:  # an int before it becomes part of the cache key
+        try:
+            n_cells_override = _integer(n_cells_override, "n_cells")
+        except ValueError as exc:
+            raise InputError(f"{path}: {exc}") from exc
+    return _build_problem(path, text, n_cells_override)
+
+
+# keyed by content, not mtime, so an edited file always gets a new spec; one entry
+# holds a spec and its plan: compiled groups and a few node-length weight vectors
+@functools.lru_cache(maxsize=4)
+def _build_problem(path: str, text: str, n_cells_override) -> ProblemSpec:
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from exc
     try:
-        dim = int(doc["dim"])
+        dim = _integer(doc["dim"], "dim")
         a, b = (float(v) for v in doc["interval"])
-        if n_cells_override is None:
-            n_cells_override = doc.get("grid", {}).get("n_cells", 128)
-        n_cells = int(n_cells_override)
+        n_cells = n_cells_override
+        if n_cells is None:
+            n_cells = _integer(doc.get("grid", {}).get("n_cells", 128), "grid.n_cells")
         grid = Grid(a, b, n_cells)
         phi = _parse_expr(doc["phi"], dim, "phi")
         lagrangian = _parse_expr(doc["lagrangian"], dim, "lagrangian")
@@ -229,6 +262,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InputError(f"--tol must be finite and >= 0, got {args.tol!r}")
     spec = load_problem(args.problem, None)
     traj = load_trajectory(args.trajectory, spec)
     report = build_report(spec, traj)
@@ -295,6 +330,7 @@ def cmd_sweep_alpha(args) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fvc",

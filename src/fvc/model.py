@@ -129,9 +129,13 @@ class Product(ConvexSet):
 _diff = functools.lru_cache(maxsize=1024)(differentiate)
 
 
+def _gradient(e: Expr, dim: int, stem: str) -> tuple:
+    """Partial derivatives of e with respect to stem1..stem<dim>."""
+    return tuple(_diff(e, f"{stem}{i + 1}") for i in range(dim))
+
+
 def _hessian(e: Expr, dim: int, stem_row: str, stem_col: str) -> tuple:
-    rows = [_diff(e, f"{stem_row}{i + 1}") for i in range(dim)]
-    return tuple(tuple(_diff(r, f"{stem_col}{j + 1}") for j in range(dim)) for r in rows)
+    return tuple(_gradient(r, dim, stem_col) for r in _gradient(e, dim, stem_row))
 
 
 @dataclass(frozen=True)
@@ -158,14 +162,14 @@ class ProblemSpec:
     # cached partial-derivative trees; indices follow the 1-based variables
     def d_phi(self, stem: str) -> tuple:
         """Gradient of phi with respect to xa ('xa') or xb ('xb')."""
-        return tuple(_diff(self.phi, f"{stem}{i + 1}") for i in range(self.dim))
+        return _gradient(self.phi, self.dim, stem)
 
     def d2_phi(self, stem_row: str, stem_col: str) -> tuple:
         return _hessian(self.phi, self.dim, stem_row, stem_col)
 
     def d_lagrangian(self, stem: str) -> tuple:
         """Gradient of L with respect to x ('x') or u ('u')."""
-        return tuple(_diff(self.lagrangian, f"{stem}{i + 1}") for i in range(self.dim))
+        return _gradient(self.lagrangian, self.dim, stem)
 
     def d2_lagrangian(self, stem_row: str, stem_col: str) -> tuple:
         return _hessian(self.lagrangian, self.dim, stem_row, stem_col)
@@ -174,10 +178,7 @@ class ProblemSpec:
         """Jacobian rows of g with respect to xa or xb (shape j x n)."""
         if self.constraint_map is None:
             return ()
-        return tuple(
-            tuple(_diff(g, f"{stem}{i + 1}") for i in range(self.dim))
-            for g in self.constraint_map
-        )
+        return tuple(_gradient(g, self.dim, stem) for g in self.constraint_map)
 
     @functools.cached_property
     def _plan(self) -> "_Plan":

@@ -1,11 +1,18 @@
+import argparse
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fvc import Grid, GridFn, SolverConfig, TrajectoryPair
+from fvc import cli
 from fvc.cli import InputError, load_problem, load_trajectory, main, write_trajectory
 
 CLASSIC = {
@@ -428,3 +435,138 @@ class TestSkippedStagesExitCode:
 
     def test_every_stage_exits_0(self, fixed_both):
         assert main(["solve", fixed_both, "--max-iters", "17"]) == 0
+
+
+class TestIntegerSizes:
+    """dim, grid.n_cells and a whole_space n are whole numbers, never truncated."""
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"dim": 1.7}, "dim"),
+        ({"dim": True}, "dim"),
+        ({"grid": {"n_cells": 64.9}}, "grid.n_cells"),
+        ({"grid": {"n_cells": False}}, "grid.n_cells"),
+        ({"grid": {"n_cells": math.inf}}, "grid.n_cells"),
+        ({"constraint": {"g": ["xb1"], "set": {"type": "whole_space", "n": 1.5}}}, "n"),
+        ({"constraint": {"g": ["xb1"], "set": {"type": "whole_space", "n": True}}}, "n"),
+    ])
+    def test_rejected_with_key(self, problem_file, capsys, overrides, key):
+        path = problem_file(**overrides)
+        with pytest.raises(InputError, match=rf"\b{key}: must be an integer, got "):
+            load_problem(path)
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key}: must be an integer" in err
+
+    @pytest.mark.parametrize("override", [64.5, True, [64], "many"])
+    def test_bad_n_cells_override(self, problem_file, override):
+        path = problem_file()
+        with pytest.raises(InputError, match=rf"^{re.escape(path)}: n_cells: must be an integer"):
+            load_problem(path, n_cells_override=override)
+
+    def test_integral_floats_accepted(self, problem_file):
+        spec = load_problem(problem_file(
+            dim=1.0, grid={"n_cells": 64.0},
+            constraint={"g": ["xb1"], "set": {"type": "whole_space", "n": 1.0}},
+        ))
+        assert (spec.dim, spec.grid.n_cells, spec.target_set.n) == (1, 64, 1)
+        assert all(type(v) is int for v in (spec.dim, spec.grid.n_cells, spec.target_set.n))
+
+
+class TestCheckTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "-1e-300"])
+    def test_rejected_before_any_file_is_read(self, tmp_path, capsys, tol):
+        # neither file exists: the tolerance error must come first
+        missing = [str(tmp_path / "nope.json"), str(tmp_path / "nope.csv")]
+        assert main(["check", *missing, f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --tol must be finite and >= 0")
+        assert "cannot read" not in captured.err
+        assert captured.out == ""
+
+    def test_zero_tolerance_accepted(self, problem_file, tmp_path, capsys):
+        spec = load_problem(problem_file())
+        traj_path = tmp_path / "zero.csv"
+        write_trajectory(str(traj_path), TrajectoryPair(GridFn.constant(spec.grid, 0.0), np.zeros(1)))
+        assert main(["check", problem_file(), str(traj_path), "--tol", "0"]) == 3
+        assert capsys.readouterr().out.endswith("FAIL\n")
+
+
+class TestProblemReuse:
+    """A process reuses the spec of a problem file whose content is unchanged."""
+
+    @pytest.fixture
+    def candidate(self, problem_file, tmp_path):
+        problem = problem_file(
+            alpha=0.8, beta=0.7, phi="0.5*xb1^2", lagrangian="0.5*(x1^2 + u1^2) + 0.1*sin(u1)",
+            constraint={"kind": "fixed_initial", "x_a": [0.25]},
+        )
+        spec = load_problem(problem)
+        path = tmp_path / "candidate.csv"
+        u = GridFn(spec.grid, np.cos(3.0 * spec.grid.nodes()))
+        write_trajectory(str(path), TrajectoryPair(u, np.array([0.25])))
+        return problem, str(path)
+
+    def test_unchanged_file_returns_same_spec(self, problem_file):
+        path = problem_file()
+        first = load_problem(path)
+        assert load_problem(path) is first
+        assert load_problem(problem_file()) is first  # rewritten with the same bytes
+
+    def test_rewritten_file_returns_new_spec(self, problem_file):
+        path = problem_file()
+        first = load_problem(path)
+        assert load_problem(path) is first
+        assert problem_file(alpha=0.5, grid={"n_cells": 32}) == path
+        second = load_problem(path)
+        assert second is not first
+        assert (second.alpha, second.grid.n_cells) == (0.5, 32)
+        assert (first.alpha, first.grid.n_cells) == (1.0, 256)
+
+    def test_n_cells_override_is_part_of_the_key(self, problem_file):
+        path = problem_file()
+        assert load_problem(path, 64).grid.n_cells == 64
+        assert load_problem(path).grid.n_cells == 256
+        assert load_problem(path, 64) is load_problem(path, 64.0) is load_problem(path, np.int64(64))
+
+    def test_check_builds_the_parser_once(self, candidate, monkeypatch, capsys):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        try:
+            assert main(["check", *candidate]) == main(["check", *candidate])
+        finally:
+            cli._build_parser.cache_clear()  # the next test builds its parser without the counter
+        assert built.count("fvc") == 1
+
+    def test_malformed_file_raises_on_every_call(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"alpha": 1.0,')
+        for _ in range(3):
+            with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: invalid JSON"):
+                load_problem(str(path))
+        for _ in range(2):
+            assert main(["check", str(path), str(tmp_path / "any.csv")]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON")
+
+    def test_fresh_process_equals_cache_hit(self, candidate, tmp_path, capsys):
+        problem, csv = candidate
+        cold_report = tmp_path / "cold.json"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cold = subprocess.run(
+            [sys.executable, "-m", "fvc.cli", "check", problem, csv, "--out", str(cold_report)],
+            env=env, capture_output=True, timeout=120,
+        )
+        warm_report = tmp_path / "warm.json"
+        for _ in range(2):
+            code = main(["check", problem, csv, "--out", str(warm_report)])
+            out = capsys.readouterr().out
+        assert load_problem(problem) is load_problem(problem)
+        assert b"psi " in cold.stdout  # the constrained report line is compared too
+        assert (cold.stdout, cold.returncode) == (out.encode(), code)
+        assert cold_report.read_bytes() == warm_report.read_bytes()

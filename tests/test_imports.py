@@ -88,3 +88,12 @@ def test_building_a_plan_imports_no_module():
         "print(sorted(set(sys.modules) - before))"
     )
     assert run_fresh(code) == "[]"
+
+
+def test_import_builds_no_parser_and_loads_no_problem():
+    # the parser and the problem specs are built on first use, so import stays cheap
+    code = (
+        "import fvc.cli as cli\n"
+        "print(cli._build_parser.cache_info().currsize, cli._build_problem.cache_info().currsize)"
+    )
+    assert run_fresh(code) == "0 0"
