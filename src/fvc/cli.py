@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .conditions import build_report
+from .conditions import RegularityError, build_report
 from .expr import EvalError, ParseError, parse
 from .frac_ops import Grid, GridFn
 from .model import (
@@ -373,10 +373,13 @@ def _configure_logging():
 
 def main(argv=None) -> int:
     _configure_logging()
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, and 2 means "not converged" here
+        return EXIT_INPUT if exc.code == 2 else exc.code
     try:
         return args.func(args)
-    except (InputError, SolverError, EvalError) as exc:
+    except (InputError, SolverError, EvalError, RegularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -18,6 +18,14 @@ def _check_dim(s: ConvexSet, z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _blocks(s: Product, *arrays):
+    """(factor, the factor's slice of each array) for the factors of s in order."""
+    off = 0
+    for f in s.factors:
+        yield (f, *(a[off : off + f.dim] for a in arrays))
+        off += f.dim
+
+
 def project(s: ConvexSet, z) -> np.ndarray:
     """Nearest point of s to z (unique, idempotent, 1-Lipschitz)."""
     z = _check_dim(s, z)
@@ -35,12 +43,7 @@ def project(s: ConvexSet, z) -> np.ndarray:
             return z.copy()
         return center + gap * (s.radius / norm)
     if isinstance(s, Product):
-        parts = []
-        off = 0
-        for f in s.factors:
-            parts.append(project(f, z[off : off + f.dim]))
-            off += f.dim
-        return np.concatenate(parts)
+        return np.concatenate([project(f, zf) for f, zf in _blocks(s, z)])
     raise TypeError(f"unsupported set {type(s).__name__}")
 
 
@@ -69,20 +72,12 @@ def in_normal_cone(s: ConvexSet, z, d, tol: float = DEFAULT_CONE_TOL) -> bool:
     if isinstance(s, Singleton):
         return True
     if isinstance(s, Box):
-        lo = np.array(s.lower)
-        hi = np.array(s.upper)
-        for zi, di, l, u in zip(z, d, lo, hi):
-            at_lower = zi <= l + tol
-            at_upper = zi >= u - tol
-            if at_lower and at_upper:
-                continue  # degenerate interval: any direction is normal
-            if at_upper and di < -tol:
-                return False
-            if at_lower and di > tol:
-                return False
-            if not at_lower and not at_upper and abs(di) > tol:
-                return False
-        return True
+        at_lower = z <= np.array(s.lower) + tol
+        at_upper = z >= np.array(s.upper) - tol
+        # where both hold the interval is degenerate and any direction is normal
+        bad = (at_upper & ~at_lower & (d < -tol)) | (at_lower & ~at_upper & (d > tol))
+        bad |= ~at_lower & ~at_upper & (np.abs(d) > tol)
+        return not bad.any()
     if isinstance(s, Ball):
         center = np.array(s.center)
         gap = z - center
@@ -95,12 +90,7 @@ def in_normal_cone(s: ConvexSet, z, d, tol: float = DEFAULT_CONE_TOL) -> bool:
         t = float(d @ outward)
         return t >= -tol and bool(np.linalg.norm(d - t * outward) <= tol)
     if isinstance(s, Product):
-        off = 0
-        for f in s.factors:
-            if not in_normal_cone(f, z[off : off + f.dim], d[off : off + f.dim], tol):
-                return False
-            off += f.dim
-        return True
+        return all(in_normal_cone(f, zf, df, tol) for f, zf, df in _blocks(s, z, d))
     raise TypeError(f"unsupported set {type(s).__name__}")
 
 
@@ -116,13 +106,8 @@ def normal_cone_basis(s: ConvexSet, z, tol: float = DEFAULT_CONE_TOL) -> np.ndar
     if isinstance(s, Singleton):
         return np.eye(s.dim)
     if isinstance(s, Box):
-        cols = []
-        for i, (zi, l, u) in enumerate(zip(z, s.lower, s.upper)):
-            if zi <= l + tol or zi >= u - tol:
-                e = np.zeros(s.dim)
-                e[i] = 1.0
-                cols.append(e)
-        return np.column_stack(cols) if cols else np.zeros((s.dim, 0))
+        active = (z <= np.array(s.lower) + tol) | (z >= np.array(s.upper) - tol)
+        return np.eye(s.dim)[:, active]
     if isinstance(s, Ball):
         center = np.array(s.center)
         gap = z - center
@@ -133,13 +118,11 @@ def normal_cone_basis(s: ConvexSet, z, tol: float = DEFAULT_CONE_TOL) -> np.ndar
             return np.zeros((s.dim, 0))
         return (gap / norm)[:, None]
     if isinstance(s, Product):
+        # pad each factor's basis with zero rows: a lifting matmul could turn 0.0 into -0.0
         blocks = []
-        off = 0
-        for f in s.factors:
-            sub = normal_cone_basis(f, z[off : off + f.dim], tol)
-            lifted = np.zeros((s.dim, sub.shape[1]))
-            lifted[off : off + f.dim, :] = sub
-            blocks.append(lifted)
-            off += f.dim
-        return np.hstack(blocks) if blocks else np.zeros((s.dim, 0))
+        for f, zf, rows in _blocks(s, z, np.arange(s.dim)):
+            sub = normal_cone_basis(f, zf, tol)
+            blocks.append(np.zeros((s.dim, sub.shape[1])))
+            blocks[-1][rows] = sub
+        return np.hstack(blocks)
     raise TypeError(f"unsupported set {type(s).__name__}")

@@ -34,6 +34,19 @@ _FUNCS = {
     "sign": np.sign,
 }
 
+# the derivative of each function at its argument, for the chain rule
+_OUTER = {
+    "sin": lambda e: Call("cos", e.arg),
+    "cos": lambda e: _neg(Call("sin", e.arg)),
+    "exp": lambda e: e,
+    "log": lambda e: _div(_const(1.0), e.arg),
+    "sqrt": lambda e: _div(_const(0.5), e),
+    "cosh": lambda e: Call("sinh", e.arg),
+    "sinh": lambda e: Call("cosh", e.arg),
+    "abs": lambda e: Call("sign", e.arg),
+    "sign": lambda e: _const(0.0),  # zero almost everywhere
+}
+
 _VAR_RE = re.compile(r"(t|x|u|xa|xb)([0-9]*)$")
 
 
@@ -390,7 +403,7 @@ def differentiate(e: Expr, var: str) -> Expr:
     if isinstance(e, Neg):
         return _neg(differentiate(e.arg, var))
     if isinstance(e, Call):
-        return _mul(_chain_outer(e), differentiate(e.arg, var))
+        return _mul(_OUTER[e.fn](e), differentiate(e.arg, var))
     da = differentiate(e.left, var)
     db = differentiate(e.right, var)
     a, b = e.left, e.right
@@ -410,28 +423,6 @@ def differentiate(e: Expr, var: str) -> Expr:
     log_term = _mul(db, Call("log", a))
     ratio_term = _div(_mul(b, da), a)
     return _mul(_pow(a, b), _add(log_term, ratio_term))
-
-
-def _chain_outer(e: Call) -> Expr:
-    arg = e.arg
-    if e.fn == "sin":
-        return Call("cos", arg)
-    if e.fn == "cos":
-        return _neg(Call("sin", arg))
-    if e.fn == "exp":
-        return e
-    if e.fn == "log":
-        return _div(_const(1.0), arg)
-    if e.fn == "sqrt":
-        return _div(_const(0.5), e)
-    if e.fn == "cosh":
-        return Call("sinh", arg)
-    if e.fn == "sinh":
-        return Call("cosh", arg)
-    if e.fn == "abs":
-        return Call("sign", arg)
-    # sign: zero almost everywhere
-    return _const(0.0)
 
 
 # -- printing -----------------------------------------------------------------

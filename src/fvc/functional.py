@@ -234,31 +234,25 @@ def needle_bounds_check(
     if float(np.max(np.abs(deviation))) > uniform_bound + slack:
         return False
 
-    # pointwise bound on (tau+h, b]
+    # pointwise bound at the nodes in (tau+h, b]
     k0 = grid.node_index(p.tau)
     k1 = grid.node_index(p.tau + p.h)
-    t = grid.nodes()
+    t = grid.nodes()[k1 + 1 :]
     u_tau = traj.u.values[k0]
     window_mean = traj.u.values[k0:k1].mean(axis=0)
     ga = math.gamma(alpha)
-    for k in range(k1 + 1, grid.n_nodes):
-        lhs = np.linalg.norm(deviation[k] / p.h - (t[k] - p.tau) ** (alpha - 1.0) / ga * (p.v - u_tau))
-        rhs = (t[k] - p.tau) ** (alpha - 1.0) / ga * np.linalg.norm(window_mean - u_tau)
-        rhs += 2.0 * radius / ga * ((t[k] - (p.tau + p.h)) ** (alpha - 1.0) - (t[k] - p.tau) ** (alpha - 1.0))
-        if lhs > rhs + slack:
-            return False
-    return True
+    kernel = (t - p.tau) ** (alpha - 1.0)
+    lhs = np.linalg.norm(deviation[k1 + 1 :] / p.h - (kernel / ga)[:, None] * (p.v - u_tau), axis=1)
+    rhs = kernel / ga * np.linalg.norm(window_mean - u_tau)
+    rhs += 2.0 * radius / ga * ((t - (p.tau + p.h)) ** (alpha - 1.0) - kernel)
+    return not np.any(lhs > rhs + slack)  # a NaN compares false, so it fails no node
 
 
 def y_sensitivity(spec: ProblemSpec, traj: TrajectoryPair, y_dir) -> float:
     """Directional derivative of the cost in the initial value."""
-    y_dir = np.atleast_1d(np.asarray(y_dir, dtype=float))
-    plan = spec._plan
-    x = traj.state(spec.alpha)
-    (d1,) = plan.running(x.values, traj.u.values, "L_x")
-    integral = plan.w_beta @ d1[:-1]
-    dphi_a, dphi_b = plan.endpoint(x.values[0], x.values[-1], "phi_a", "phi_b")
-    return float((dphi_a + dphi_b + integral) @ y_dir)
+    out = np.empty(spec.grid.n_cells * spec.dim + spec.dim)
+    _, grad_y = _cost_gradient(spec._plan, traj.state(spec.alpha).values, traj.u.values, out)
+    return float(grad_y @ np.atleast_1d(np.asarray(y_dir, dtype=float)))
 
 
 def penalized_value(

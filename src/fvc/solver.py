@@ -18,10 +18,10 @@ a TrajectoryPair, whose objective and distance come from the same cost kernel.
 
 Each descent keeps its L-BFGS correction pairs (s, y) in the rows of one block
 of memory + 1 rows, allocated once per descent as in the fixed storage of
-L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995). A new pair
-is written into the spare row before its curvature test; a list of row
-indices kept beside the history recycles the oldest row when the history is
-full and returns every row when the history is reset.
+L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995). The rows
+are used cyclically (Nocedal & Wright, Numerical Optimization, sec. 7.2): the
+k-th kept pair goes into row k mod (memory + 1), so the history is always
+the last kept pairs in the rows just before row k, and row k is free.
 """
 
 from __future__ import annotations
@@ -187,13 +187,14 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
     the step by shrink. The line search fails, and the descent stops, once a
     trial point rounds back onto z or the step falls below machine epsilon
     times the unit quasi-Newton step. Returns
-    (z, value, gradient, iterations, converged).
+    (z, value, gradient, iterations, converged); a stall is not converged,
+    since z failed the tolerance at the top of that iteration.
 
     The history holds (s, y, 1 / (s . y)) of at most cfg.memory accepted
     steps, with s and y views into rows of one (memory + 1, 2, z.size) block
-    allocated here. Each new pair is written into a free row; a pair that
-    passes the curvature test keeps that row, the oldest pair's row is freed
-    when the history overflows, and every row when it is reset. No step
+    allocated here. Each new pair is written into row k mod (memory + 1) and
+    k counts the pairs that pass the curvature test, so the history occupies
+    the rows before row k and a reset only empties the list. No step
     allocates a pair, and the returned arrays never alias the block.
     """
     z = np.clip(z, lo, hi)
@@ -201,20 +202,17 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
     g = grad()
     eps = np.finfo(float).eps
     history = []  # (s, y, 1 / (s . y)) of the last cfg.memory accepted steps
-    # slots[k] is the block row of history[k]; free holds the other rows
     pairs = np.empty((cfg.memory + 1, 2, z.size))
-    slots, free = [], list(range(cfg.memory + 1))
+    k = 0  # pairs kept so far; row k mod (memory + 1) holds none of the history
     it = 0
-    while it < max_iters:
-        pg = z - np.clip(z - g, lo, hi)
-        if float(np.linalg.norm(pg)) <= tol:
-            return z, f, g, it, True
+    while True:
+        converged = float(np.linalg.norm(z - np.clip(z - g, lo, hi))) <= tol
+        if converged or it >= max_iters:
+            return z, f, g, it, converged
         d = -_lbfgs_direction(g, history)
         if float(d @ g) >= 0.0:
             d = -g
             history = []
-            free += slots
-            slots = []
         step = 1.0
         accepted = False
         while step >= eps:
@@ -244,20 +242,17 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
                 step *= cfg.shrink
         it += 1
         if not accepted:
-            return z, f, g, it, float(np.linalg.norm(pg)) <= tol
-        s, yv = pairs[free[-1]]
+            return z, f, g, it, False
+        s, yv = pairs[k % len(pairs)]
         np.subtract(z_new, z, out=s)
         np.subtract(g_new, g, out=yv)
         sy = float(s @ yv)
         if sy > 1e-14 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
             history.append((s, yv, 1.0 / sy))
-            slots.append(free.pop())
             if len(history) > cfg.memory:
                 history.pop(0)
-                free.append(slots.pop(0))
+            k += 1
         z, f, g = z_new, f_new, g_new
-    pg = z - np.clip(z - g, lo, hi)
-    return z, f, g, it, float(np.linalg.norm(pg)) <= tol
 
 
 def _lbfgs_direction(g, history):

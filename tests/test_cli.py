@@ -114,6 +114,15 @@ class TestLoadProblem:
         assert spec.target_set.dim == 1
         assert spec.target_set.lower == (-math.inf,)
 
+    @pytest.mark.parametrize("descriptor, message", [
+        ({"type": "sphere", "center": [0.0]}, "unknown set type 'sphere'"),
+        ([0.0], "set descriptor must be an object with a 'type' key"),
+    ])
+    def test_bad_set_descriptor(self, problem_file, capsys, descriptor, message):
+        assert main(["solve", problem_file(constraint={"g": ["xb1"], "set": descriptor})]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_invalid_alpha_rejected(self, problem_file, capsys):
         assert main(["solve", problem_file(alpha=1.5)]) == 1
         assert "alpha" in capsys.readouterr().err
@@ -183,6 +192,40 @@ class TestSolveCommand:
         assert main(["solve", problem_file(lagrangian="0.5*u1^2 - log(x1)")]) == 1
         assert capsys.readouterr().err.startswith("error: non-finite value")
 
+    @pytest.mark.parametrize("constraint, target", [
+        # x(b) in [0.5, 1.5]; phi = x(b) pushes it down onto 0.5
+        ({"g": ["xb1"], "set": {"type": "ball", "center": [1.0], "radius": 0.5}}, "ball"),
+        # x(a) = 0 and x(b) >= 0.5, the box unbounded above
+        ({"g": ["xa1", "xb1"], "set": {"type": "product", "factors": [
+            {"type": "singleton", "point": [0.0]},
+            {"type": "box", "lower": [0.5], "upper": [None]},
+        ]}}, "product"),
+    ])
+    def test_ball_and_product_targets(self, problem_file, tmp_path, constraint, target):
+        path = problem_file(grid={"n_cells": 64}, constraint=constraint)
+        out, traj_path = tmp_path / "result.json", tmp_path / "traj.csv"
+        assert main(["solve", path, "--out", str(out), "--traj-out", str(traj_path)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["converged"] is True
+        assert doc["feasibility_distance"] < 1e-5
+        assert doc["report"]["psi_in_cone"] is True
+        spec = load_problem(path)
+        x = load_trajectory(str(traj_path), spec).state(spec.alpha).values
+        if target == "ball":
+            assert abs(x[-1, 0] - 0.5) < 1e-5
+        else:
+            assert spec.target_set.factors[1].upper == (math.inf,)
+            assert abs(x[0, 0]) < 1e-5 and x[-1, 0] > 0.5 - 1e-5
+
+    @pytest.mark.parametrize("command", [["solve"], ["sweep-alpha", "--alphas", "1.0"]])
+    def test_irregular_constraint_reported(self, problem_file, capsys, command):
+        # g = xa1 - xa1 has a zero Jacobian: no multiplier can be extracted
+        path = problem_file(
+            grid={"n_cells": 32}, constraint={"g": ["xa1 - xa1"], "set": {"type": "singleton", "point": [0]}}
+        )
+        assert main([command[0], path, *command[1:]]) == 1
+        assert capsys.readouterr().err.startswith("error: constraint Jacobian is rank deficient")
+
     def test_trajectory_round_trip(self, problem_file, tmp_path):
         traj_path = tmp_path / "traj.csv"
         assert main(["solve", problem_file(), "--traj-out", str(traj_path)]) == 0
@@ -238,6 +281,16 @@ class TestCheckCommand:
         bad.write_text("\n".join(rows) + "\n")
         assert main(["check", problem_file(), str(bad)]) == 1
         assert "rows" in capsys.readouterr().err
+
+    def test_irregular_constraint_reported(self, problem_file, tmp_path, capsys):
+        path = problem_file(constraint={"g": ["xa1 - xa1"], "set": {"type": "singleton", "point": [0]}})
+        spec = load_problem(path)
+        traj_path = tmp_path / "zero.csv"
+        write_trajectory(str(traj_path), TrajectoryPair(GridFn.constant(spec.grid, 0.0), np.zeros(1)))
+        assert main(["check", path, str(traj_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: constraint Jacobian is rank deficient")
+        assert captured.out == ""
 
     def test_grid_mismatch(self, problem_file, tmp_path):
         spec = load_problem(problem_file())
@@ -394,6 +447,26 @@ class TestSweepCommand:
         )
         assert code == 0
         assert capsys.readouterr().out.startswith("alpha,objective")
+
+
+class TestUsageErrors:
+    """argparse's own exit code 2 would read as "not converged"; a usage error is exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["solve"],
+        ["check", "p.json", "t.csv", "--tol", "-inf"],
+        ["solve", "p.json", "--no-such-option"],
+        ["frobnicate"],
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage: fvc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: fvc")
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -97,3 +99,20 @@ def test_import_builds_no_parser_and_loads_no_problem():
         "print(cli._build_parser.cache_info().currsize, cli._build_problem.cache_info().currsize)"
     )
     assert run_fresh(code) == "0 0"
+
+
+def test_benchmark_traced_names_resolve():
+    # perfbench/tracer.py wraps these public names by attribute; a renamed or
+    # removed one would only show up in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    loader = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tracer)
+    assert tracer.TRACED
+    for _, module_name, attr in tracer.TRACED:
+        owner = importlib.import_module(module_name)
+        if "." in attr:  # a method, read from the class's own dict as the tracer does
+            cls_name, meth = attr.split(".")
+            assert callable(vars(getattr(owner, cls_name))[meth]), attr
+        else:
+            assert callable(getattr(owner, attr)), f"{module_name}.{attr}"

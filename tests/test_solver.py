@@ -316,6 +316,23 @@ class TestSolve:
         assert np.isfinite(result.objective)
         assert result.objective < start
 
+    def test_overflowing_penalty_is_rejected_step(self):
+        # every compiled part is finite at z = (1, ..., 1, 0); only rho * dist^2 overflows
+        spec = ProblemSpec(
+            alpha=1.0, beta=1.0, grid=Grid(0.0, 1.0, 16), dim=1,
+            phi=parse("-xb1", 1), lagrangian=parse("0.5*u1^2", 1),
+            constraint_map=(parse("1e200*xb1", 1),), target_set=model.Singleton((0.0,)),
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(solver_module.SolverError, match="penalized objective is not finite"):
+                _penalized(spec, np.concatenate([np.ones(16), [0.0]]), 1e3)
+            # every trial step down to machine epsilon overflows, so each stage's line search
+            # stalls at the start point
+            result = solve(spec)
+        assert not result.converged
+        assert result.iterations == len(SolverConfig().penalty_weights)
+        assert result.objective == 0.0 and result.feasibility_distance == 0.0
+
     def test_zero_progress_stops_early(self):
         # late in this solve only steps that leave the objective unchanged pass
         # the Armijo test; the solve must stop instead of using its budget.
