@@ -237,7 +237,12 @@ def _solver_config(args) -> SolverConfig:
 
 def cmd_solve(args) -> int:
     spec = load_problem(args.problem, args.n_cells)
-    result = solve(spec, _solver_config(args))
+    try:
+        result = solve(spec, _solver_config(args))
+    except RegularityError as exc:  # no report, but the candidate is kept
+        if args.traj_out:
+            write_trajectory(args.traj_out, exc.traj)
+        raise
     log.info(
         "solve: objective=%.6g feasibility=%.3g iterations=%d converged=%s",
         result.objective, result.feasibility_distance, result.iterations,

@@ -36,7 +36,11 @@ REGULARITY_SV_TOL = 1e-8
 
 
 class RegularityError(ValueError):
-    """The endpoint-constraint Jacobian is not surjective at the candidate."""
+    """The endpoint-constraint Jacobian is not surjective at the candidate.
+
+    solve attaches its candidate as traj, so a caller can still keep it."""
+
+    traj = None
 
 
 @dataclass(frozen=True)
@@ -185,7 +189,9 @@ def legendre_check(spec: ProblemSpec, traj: TrajectoryPair, tol: float = DEFAULT
     n_nodes = spec.grid.n_nodes
     weight = spec._plan.node_weights(spec.beta)
     sym = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
-    eigs = np.linalg.eigvalsh(sym)[:, 0] * weight
+    # one eigenproblem when L_uu does not vary; a NaN fails the test and takes the batched path
+    low = np.linalg.eigvalsh(sym[0])[0] if (sym == sym[0]).all() else np.linalg.eigvalsh(sym)[:, 0]
+    eigs = low * weight
     lo, hi = 1, n_nodes if spec.beta >= 1.0 else n_nodes - 1
     profile = eigs.copy()
     profile[0] = eigs[lo]

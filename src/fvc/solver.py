@@ -22,6 +22,15 @@ L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995). The rows
 are used cyclically (Nocedal & Wright, Numerical Optimization, sec. 7.2): the
 k-th kept pair goes into row k mod (memory + 1), so the history is always
 the last kept pairs in the rows just before row k, and row k is free.
+
+The two-loop recursion starts from gamma times the identity, gamma from the
+last pair. The decision vector mixes n cell controls of curvature about h with
+y of curvature O(1); there the short scaling s.y / y.y (Liu & Nocedal, Math.
+Prog. 45, 1989) swings over four decades from pair to pair, while the long
+Barzilai-Borwein scaling s.s / s.y (IMA J. Numer. Anal. 8, 1988) stays near
+1/h. A descent uses the long one until a long-scaled search fails, a trial
+point leaves the integrand's domain or a component is held at its bound, and
+the short one for the rest of the descent.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conditions import ResidualReport, build_report
+from .conditions import RegularityError, ResidualReport, build_report
 from .convex import project
 from .expr import EvalError, Var
 from .frac_ops import GridFn, _left_sums
@@ -151,7 +160,8 @@ def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float):
     if constrained:
         value, (g_val,) = _cost(plan, x, u, "g")
         gap = g_val - project(spec.target_set, g_val)  # half the gradient of dist^2
-        feas = float(np.linalg.norm(gap))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+            feas = float(np.linalg.norm(gap))
         value += rho * feas * feas
     else:
         value, _ = _cost(plan, x, u)
@@ -190,6 +200,12 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
     (z, value, gradient, iterations, converged); a stall is not converged,
     since z failed the tolerance at the top of that iteration.
 
+    Directions use the long scaling s . s / s . y, and the short one
+    s . y / y . y for the rest of the descent after the first failed
+    long-scaled search (the iteration searches once more with the short
+    scaling before it stalls), EvalError or SolverError trial, or held
+    component at the top of an iteration: z <= lo with g > 0, z >= hi with g < 0.
+
     The history holds (s, y, 1 / (s . y)) of at most cfg.memory accepted
     steps, with s and y views into rows of one (memory + 1, 2, z.size) block
     allocated here. Each new pair is written into row k mod (memory + 1) and
@@ -205,14 +221,18 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
     pairs = np.empty((cfg.memory + 1, 2, z.size))
     k = 0  # pairs kept so far; row k mod (memory + 1) holds none of the history
     it = 0
+    short = False  # once set, the short scaling for the rest of the descent
     while True:
         converged = float(np.linalg.norm(z - np.clip(z - g, lo, hi))) <= tol
         if converged or it >= max_iters:
             return z, f, g, it, converged
-        d = -_lbfgs_direction(g, history)
+        # a component held at its bound clips the long step out of shape
+        short = short or bool(np.any((z <= lo) & (g > 0) | (z >= hi) & (g < 0)))
+        d = -(_lbfgs_direction(g, history, short=True) if short else _lbfgs_direction(g, history))
         if float(d @ g) >= 0.0:
             d = -g
             history = []
+        retry = not short and bool(history)  # the long scaling shaped d
         step = 1.0
         accepted = False
         while step >= eps:
@@ -229,7 +249,9 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
                     break
                 rise = f_new - f
             except (SolverError, EvalError):
-                pass  # a trial point outside the integrand's domain is a rejected step
+                # a trial point outside the integrand's domain is a rejected
+                # step, and long steps into a barrier stall early
+                short = True
             # a rise within 1e3 * eps * |f| is rounding noise of the summed
             # objective, and a quadratic fitted through it is noise too
             if slope < 0.0 and 1e3 * eps * abs(f) < rise < math.inf:
@@ -240,6 +262,9 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
                 step = min(max(t, 0.1 * step), cfg.shrink * step)
             else:
                 step *= cfg.shrink
+        if not accepted and retry:
+            short = True  # search this iteration again, once, with the short scaling
+            continue
         it += 1
         if not accepted:
             return z, f, g, it, False
@@ -255,7 +280,9 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
         z, f, g = z_new, f_new, g_new
 
 
-def _lbfgs_direction(g, history):
+def _lbfgs_direction(g, history, short=False):
+    """Two-loop recursion for H g with H0 = gamma I from the last pair: the
+    long scaling s . s / s . y, or the short one s . y / y . y if short."""
     q = g.copy()
     tmp = np.empty_like(q)  # one scratch vector for every a*y and (a-b)*s
     alphas = []
@@ -264,8 +291,8 @@ def _lbfgs_direction(g, history):
         alphas.append((a, rho, s, y))
         q -= np.multiply(a, y, out=tmp)
     if history:
-        s, y, _ = history[-1]
-        q *= float(s @ y) / float(y @ y)
+        s, y, rho = history[-1]
+        q *= float(s @ y) / float(y @ y) if short else float(s @ s) * rho
     for a, rho, s, y in reversed(alphas):
         b = rho * float(y @ q)
         q += np.multiply(a - b, s, out=tmp)
@@ -312,11 +339,16 @@ def solve(
         total_iters += used
     traj = _traj_from(spec, z)
     objective, feas = _cost_and_distance(spec, traj)
+    try:
+        report = build_report(spec, traj)
+    except RegularityError as exc:
+        exc.traj = traj
+        raise
     return SolveResult(
         traj=traj,
         objective=objective,
         feasibility_distance=feas,
-        report=build_report(spec, traj),
+        report=report,
         iterations=total_iters,
         converged=converged,
     )

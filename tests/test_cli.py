@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fvc import Grid, GridFn, SolverConfig, TrajectoryPair
+from fvc import Grid, GridFn, RegularityError, SolverConfig, TrajectoryPair, solve
 from fvc import cli
 from fvc.cli import InputError, load_problem, load_trajectory, main, write_trajectory
 
@@ -225,6 +225,22 @@ class TestSolveCommand:
         )
         assert main([command[0], path, *command[1:]]) == 1
         assert capsys.readouterr().err.startswith("error: constraint Jacobian is rank deficient")
+
+    def test_irregular_constraint_keeps_candidate(self, problem_file, tmp_path, capsys):
+        # the solve finishes before the report finds the zero Jacobian: the
+        # candidate goes to --traj-out, the exit code is 1 and --out is not written
+        path = problem_file(
+            grid={"n_cells": 32}, constraint={"g": ["xa1 - xa1"], "set": {"type": "singleton", "point": [0]}}
+        )
+        out, traj_path = tmp_path / "result.json", tmp_path / "traj.csv"
+        assert main(["solve", path, "--out", str(out), "--traj-out", str(traj_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: constraint Jacobian is rank deficient")
+        assert not out.exists()
+        spec = load_problem(path)
+        with pytest.raises(RegularityError) as raised:
+            solve(spec)
+        want, got = raised.value.traj, load_trajectory(str(traj_path), spec)
+        assert np.array_equal(got.u.values, want.u.values) and np.array_equal(got.y, want.y)
 
     def test_trajectory_round_trip(self, problem_file, tmp_path):
         traj_path = tmp_path / "traj.csv"
