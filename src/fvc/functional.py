@@ -84,8 +84,9 @@ def _cost_gradient(plan, x: np.ndarray, u: np.ndarray, out: np.ndarray, outer=No
     of y; the views (grad_u, grad_y) into it are returned. It is the exact
     transpose of the linear maps inside the first Gateaux differential, so
     grad . delta reproduces gateaux_first(delta) to rounding. When outer is
-    given, the gradient of outer . g(x(a), x(b)) is added, with the Jacobian of
-    g taken from the same endpoint call as the gradient of phi.
+    given, the gradient of outer . g(x(a), x(b)) is added by _pull_back, with
+    the Jacobian [g_a, g_b] taken from the same endpoint call as the gradient
+    of phi; that Jacobian is returned third (an empty list without outer).
     """
     spec = plan.spec
     n_u = spec.grid.n_cells * spec.dim
@@ -103,12 +104,21 @@ def _cost_gradient(plan, x: np.ndarray, u: np.ndarray, out: np.ndarray, outer=No
     grad_u[:-1] += _left_sums(weighted_d1[:0:-1], spec.alpha, spec.grid)[:0:-1]
     grad_y[:] = dphi_a + dphi_b + weighted_d1.sum(axis=0)
     if outer is not None:
-        ga, gb = jacobian
-        pull_a = ga.T @ outer  # d/dxa, and xa = y
-        pull_b = gb.T @ outer  # d/dxb; xb = y + sum_j w_alpha[n-1-j] u_j
-        grad_u += plan.w_alpha_rev * pull_b[None, :]
-        grad_y += pull_a + pull_b
-    return grad_u, grad_y
+        _pull_back(plan, jacobian, outer, out)
+    return grad_u, grad_y, jacobian
+
+
+def _pull_back(plan, jacobian, outer, out):
+    """Add the gradient of outer . g(x(a), x(b)) in (u, y) to out, laid out as
+    in _cost_gradient, from the Jacobian [g_a, g_b] of g at the endpoints."""
+    spec = plan.spec
+    n_u = spec.grid.n_cells * spec.dim
+    ga, gb = jacobian
+    pull_a = ga.T @ outer  # d/dxa, and xa = y
+    pull_b = gb.T @ outer  # d/dxb; xb = y + sum_j w_alpha[n-1-j] u_j
+    grad_u = out[:n_u].reshape(spec.grid.n_cells, spec.dim)
+    grad_u += plan.w_alpha_rev * pull_b[None, :]
+    out[n_u:] += pull_a + pull_b
 
 
 def bolza_eval(spec: ProblemSpec, traj: TrajectoryPair) -> float:
@@ -251,7 +261,7 @@ def needle_bounds_check(
 def y_sensitivity(spec: ProblemSpec, traj: TrajectoryPair, y_dir) -> float:
     """Directional derivative of the cost in the initial value."""
     out = np.empty(spec.grid.n_cells * spec.dim + spec.dim)
-    _, grad_y = _cost_gradient(spec._plan, traj.state(spec.alpha).values, traj.u.values, out)
+    _, grad_y, _ = _cost_gradient(spec._plan, traj.state(spec.alpha).values, traj.u.values, out)
     return float(grad_y @ np.atleast_1d(np.asarray(y_dir, dtype=float)))
 
 

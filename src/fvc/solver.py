@@ -6,15 +6,19 @@ handled by a smooth quadratic penalty with an increasing weight schedule, one
 stage per epsilon of the Ekeland-style schedule. The inner loop is a
 limited-memory quasi-Newton descent with box projection onto the control bound
 and an Armijo backtracking search. A trial point whose value rises clearly
-above rounding sets the next step by safeguarded quadratic interpolation;
-every other rejected trial (an evaluation error, a decrease that is not
-sufficient, a change at rounding level) multiplies the step by a fixed factor.
+above rounding sets the next step by quadratic interpolation, capped at a
+fixed factor of the step and with no floor; every other rejected trial (an
+evaluation error, a decrease that is not sufficient, a change at rounding
+level) multiplies the step by that factor. A later penalty stage starts from
+the last stage's value and gradient plus (rho' - rho) dist^2 and its gradient,
+with no evaluation.
 
 Trial points are evaluated on plain arrays, not on GridFn or TrajectoryPair
 objects: the state x = y + I^alpha[u] is the frac_ops left-sum kernel plus y,
 the cost comes from the array kernels that bolza_eval and objective_gradient
 wrap, and a non-finite state is a rejected step. Only the final point becomes
-a TrajectoryPair, whose objective and distance come from the same cost kernel.
+a TrajectoryPair, with the state of its last evaluation cached, whose
+objective and distance come from the same cost kernel.
 
 Each descent keeps its L-BFGS correction pairs (s, y) in the rows of one block
 of memory + 1 rows, allocated once per descent as in the fixed storage of
@@ -45,7 +49,7 @@ from .conditions import RegularityError, ResidualReport, build_report
 from .convex import project
 from .expr import EvalError, Var
 from .frac_ops import GridFn, _left_sums
-from .functional import _cost, _cost_and_distance, _cost_gradient
+from .functional import _cost, _cost_and_distance, _cost_gradient, _pull_back
 from .model import ProblemSpec, TrajectoryPair, WholeSpace
 
 __all__ = [
@@ -116,7 +120,8 @@ def objective_gradient(spec: ProblemSpec, traj: TrajectoryPair):
     The last control node does not enter the quadrature; its entry is zero.
     """
     out = np.empty(spec.grid.n_cells * spec.dim + spec.dim)
-    grad_cells, grad_y = _cost_gradient(spec._plan, traj.state(spec.alpha).values, traj.u.values, out)
+    x = traj.state(spec.alpha).values
+    grad_cells, grad_y, _ = _cost_gradient(spec._plan, x, traj.u.values, out)
     grad_u = np.zeros_like(traj.u.values)
     grad_u[:-1] = grad_cells
     return GridFn(spec.grid, grad_u), grad_y
@@ -139,7 +144,7 @@ def _traj_from(spec: ProblemSpec, z: np.ndarray) -> TrajectoryPair:
     return TrajectoryPair(GridFn(spec.grid, _controls(spec, z)), z[spec.grid.n_cells * spec.dim :])
 
 
-def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float):
+def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float, accepted=None):
     """Value of Phi + rho * dist^2 to the target set, and a thunk for its gradient.
 
     The trial point is evaluated on plain arrays: the control rows u and the
@@ -148,7 +153,8 @@ def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float):
     rejected step. L comes from one compiled running call, phi and g from one
     endpoint call. The line search needs only values; the gradient is
     computed when a trial point is accepted, from the same u and x, and is
-    written straight into the vector it returns.
+    written straight into the vector it returns, and [u, x, gap, Jacobian of
+    g] of this point (gap None without a penalty) go into accepted, if given.
     """
     plan = spec._plan
     u = _controls(spec, z)
@@ -157,6 +163,7 @@ def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float):
     if not (np.isfinite(u).all() and np.isfinite(x).all()):
         raise SolverError("trial control or state is not finite")
     constrained = spec.constraint_map is not None and rho > 0.0
+    gap = None
     if constrained:
         value, (g_val,) = _cost(plan, x, u, "g")
         gap = g_val - project(spec.target_set, g_val)  # half the gradient of dist^2
@@ -169,8 +176,12 @@ def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float):
         raise SolverError("penalized objective is not finite")
 
     def gradient():
+        if accepted is not None:
+            accepted.clear()  # the last point's arrays go before this gradient's temporaries
         out = np.empty(z.size)
-        _cost_gradient(plan, x, u, out, rho * (2.0 * gap) if constrained else None)
+        *_, jacobian = _cost_gradient(plan, x, u, out, rho * (2.0 * gap) if constrained else None)
+        if accepted is not None:
+            accepted[:] = u, x, gap, jacobian
         return out
 
     return value, gradient
@@ -183,20 +194,23 @@ def _bounds(spec: ProblemSpec, radius: float):
     return lo, hi
 
 
-def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
+def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig, start=None):
     """Projected limited-memory quasi-Newton descent with backtracking.
 
     fun(z) returns (value, gradient thunk); the thunk is called only at the
-    start point and at accepted trial points. Accepted steps are strictly
-    non-increasing in the objective. After a rejected trial at step s along a
-    descent path whose finite value f_t exceeds f by more than
-    1e3 * eps * |f|, the next step is the minimizer of the quadratic through
-    f, the slope g . (z_t - z) and f_t, clamped to [0.1 s, shrink s]. Any
-    other rejection (an EvalError or SolverError, an insufficient decrease, a
-    change at rounding level, where the quadratic model is noise) multiplies
-    the step by shrink. The line search fails, and the descent stops, once a
-    trial point rounds back onto z or the step falls below machine epsilon
-    times the unit quasi-Newton step. Returns
+    start point, unless start gives its (value, gradient), and at accepted
+    trial points. Accepted steps are strictly non-increasing in the
+    objective. After a rejected trial at step s along a descent path whose
+    finite value f_t exceeds f by more than 1e3 * eps * |f|, the next step is
+    the minimizer of the quadratic through f, the slope g . (z_t - z) and
+    f_t, capped at shrink s. That minimizer lies in (0, s / 2) and has no
+    lower bound: the unit first step of a penalty stage can overshoot by 1e4
+    to 1e8 at large rho, and a floor such as 0.1 s would spend one trial per
+    decade. Any other rejection (an EvalError or SolverError, an insufficient
+    decrease, a change at rounding level, where the quadratic model is noise)
+    multiplies the step by shrink. The line search fails, and the descent
+    stops, once a trial point rounds back onto z or the step falls below
+    machine epsilon times the unit quasi-Newton step. Returns
     (z, value, gradient, iterations, converged); a stall is not converged,
     since z failed the tolerance at the top of that iteration.
 
@@ -214,8 +228,11 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
     allocates a pair, and the returned arrays never alias the block.
     """
     z = np.clip(z, lo, hi)
-    f, grad = fun(z)
-    g = grad()
+    if start is None:
+        f, grad = fun(z)
+        g = grad()
+    else:
+        f, g = start
     eps = np.finfo(float).eps
     history = []  # (s, y, 1 / (s . y)) of the last cfg.memory accepted steps
     pairs = np.empty((cfg.memory + 1, 2, z.size))
@@ -256,10 +273,10 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig):
             # objective, and a quadratic fitted through it is noise too
             if slope < 0.0 and 1e3 * eps * abs(f) < rise < math.inf:
                 # minimizer of the quadratic through f, the slope and f_new,
-                # safeguarded to [0.1, shrink] times the step (Nocedal & Wright,
-                # Numerical Optimization, sec. 3.5; Dennis & Schnabel, A6.3.1)
+                # capped at shrink times the step (Nocedal & Wright, Numerical
+                # Optimization, sec. 3.5; Dennis & Schnabel, A6.3.1)
                 t = 0.5 * slope * step / (slope - rise)
-                step = min(max(t, 0.1 * step), cfg.shrink * step)
+                step = min(t, cfg.shrink * step)
             else:
                 step *= cfg.shrink
         if not accepted and retry:
@@ -328,16 +345,29 @@ def solve(
         stages = stages[-1:]
     total_iters = 0
     converged = False
+    accepted = []  # [u, x, gap, Jacobian of g] at the last point given a gradient
+    start = None  # value and gradient handed on to the next stage
     for eps, rho in stages:
         tol = max(1e-7, math.sqrt(eps) * 1e-3)  # the floor binds only for eps < 1e-8
         budget = config.max_iters - total_iters
         if budget <= 0:
             converged = False  # a skipped stage never reached its tolerance
             break
-        fun = lambda zz, r=(rho if constrained else 0.0): _penalized(spec, zz, r)
-        z, _, _, used, converged = _descend(fun, z, lo, hi, tol, budget, config)
+        if start is not None:
+            # the last stage ended on the last point given a gradient, where
+            # only rho has changed: add (rho - rho_last) dist^2 and its gradient
+            _, _, gap, jacobian = accepted
+            f, g = start
+            _pull_back(spec._plan, jacobian, (rho - rho_last) * (2.0 * gap), g)
+            start = f + (rho - rho_last) * float(gap @ gap), g
+        fun = lambda zz, r=(rho if constrained else 0.0): _penalized(spec, zz, r, accepted)
+        z, f, g, used, converged = _descend(fun, z, lo, hi, tol, budget, config, start)
+        start, rho_last = (f, g), rho
         total_iters += used
     traj = _traj_from(spec, z)
+    # z is the last point given a gradient: its state has the bytes that
+    # TrajectoryPair.state would compute, so no convolution rebuilds it
+    traj._states[spec.alpha] = GridFn(spec.grid, accepted[1])
     objective, feas = _cost_and_distance(spec, traj)
     try:
         report = build_report(spec, traj)

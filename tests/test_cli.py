@@ -176,10 +176,11 @@ class TestSolveCommand:
         assert main(["solve", path]) == 2
 
     def test_stalled_line_search_exit_code(self, problem_file, tmp_path):
-        # exit 2 also covers a line search that stalls with budget left
+        # exit 2 also covers a line search that stalls with budget left: late in
+        # this solve only steps that leave the objective unchanged pass the
+        # Armijo test (tests/test_solver.py::test_zero_progress_stops_early)
         path = problem_file(
-            alpha=0.6, beta=0.6, phi="0",
-            constraint={"kind": "fixed_both", "x_a": [0], "x_b": [1]},
+            alpha=0.8, phi="5*xb1", lagrangian="0.5*u1^2 - log(1 + x1)", grid={"n_cells": 128},
         )
         out = tmp_path / "result.json"
         assert main(["solve", path, "--out", str(out)]) == 2

@@ -184,6 +184,23 @@ class TestDescend:
         halving = next(k for k in range(60) if armijo(cfg.shrink**k)) + 1
         assert halving >= 10
 
+    def test_overshoot_by_decades_undone_in_one_trial(self):
+        # the unit step along -g overshoots the minimizer 1e-4 by a factor of
+        # 1e4; the interpolated step is exact on a quadratic, where a floor of
+        # 0.1 times the step would take the trials 1, 0.1, 0.01, 1e-3 and 1e-4
+        lam = 1e4
+        calls = []
+
+        def fun(z):
+            calls.append(z)
+            return 0.5 * lam * float(z @ z), lambda: lam * z
+
+        inf = np.full(1, np.inf)
+        z, f, g, it, converged = _descend(fun, np.ones(1), -inf, inf, 1e-10, 1, SolverConfig())
+        assert it == 1
+        assert len(calls) - 1 <= 2
+        assert f < 1e-20 * 0.5 * lam
+
     @pytest.mark.parametrize("rise, halves", [(100.0, True), (1e4, False)])
     def test_rounding_level_rise_halves(self, rise, halves):
         # every trial is rejected with the same rise over f = 1; below 1e3 eps
@@ -534,10 +551,13 @@ class TestEvaluationCounts:
         result = solve(spec, config)
         assert result.iterations < config.max_iters
         assert counts["forward"] == counts["_cost"] == counts["_penalized"]
-        n_stages = len(config.epsilon_schedule)
-        assert counts["_cost_gradient"] == result.iterations + n_stages
+        # one gradient at the start and one per iteration: later stages start
+        # from the value and gradient handed on from the stage before
+        assert counts["_cost_gradient"] == result.iterations + 1
         assert counts["transpose"] == counts["_cost_gradient"]
-        assert counts["convolutions"] == 67
+        # the final pair reuses the last evaluated state; the report adds its
+        # two right integrals
+        assert counts["convolutions"] == counts["forward"] + counts["transpose"] + 2 == 42
 
         counts.clear()
         fresh = TrajectoryPair(result.traj.u, result.traj.y)
@@ -545,7 +565,7 @@ class TestEvaluationCounts:
         assert counts["state"] == 1
 
     def test_grid_functions_do_not_grow_with_evaluations(self, monkeypatch):
-        spec = self._fixed_both_spec()
+        spec = dataclasses.replace(self._fixed_both_spec(), alpha=0.5, beta=0.5)
         built = {}
         self._count(monkeypatch, frac_ops.GridFn, "__post_init__", built)
         penalized = {}
@@ -559,6 +579,45 @@ class TestEvaluationCounts:
         assert penalized["_penalized"] > 40
         assert builds[0] == builds[1] <= 12
 
+    def test_stage_starts_handed_on(self, monkeypatch):
+        # each later stage starts where the last one ended, with the value and
+        # gradient at its own rho and no evaluation of its own
+        spec = self._fixed_both_spec()
+        config = SolverConfig()
+        starts, descend = [], solver_module._descend
+
+        def recorded(fun, z, lo, hi, tol, max_iters, cfg, start=None):
+            starts.append((z, None if start is None else (start[0], start[1].copy())))
+            return descend(fun, z, lo, hi, tol, max_iters, cfg, start)
+
+        monkeypatch.setattr(solver_module, "_descend", recorded)
+        assert solve(spec, config).converged
+        assert len(starts) == 4 and starts[0][1] is None
+        for (z, (f, g)), rho in zip(starts[1:], config.penalty_weights[1:]):
+            value, gradient = _penalized(spec, z, rho)
+            assert f == pytest.approx(value, rel=1e-12)
+            fresh = gradient()
+            assert float(np.linalg.norm(g - fresh)) <= 1e-12 * float(np.linalg.norm(fresh))
+
+    def test_sweep_evaluations(self, monkeypatch):
+        # the 12 solves of perfbench's constrained_sweep, built here: 463
+        # penalized evaluations with a 0.1 floor on the interpolated step and
+        # a fresh evaluation at the start of each stage
+        kinds = {"fixed_both": ("0", "0.5*(x1^2 + u1^2)"),
+                 "periodic": ("xb1", "0.5*(x1^2 + u1^2) - t*x1")}
+        counts = {}
+        self._count(monkeypatch, solver_module, "_penalized", counts)
+        for kind, (phi, lagrangian) in kinds.items():
+            g, s = standard_constraint(kind, 1, [0.0], [1.0])
+            for alpha in (1.0, 0.9, 0.8, 0.7, 0.6, 0.5):
+                spec = ProblemSpec(
+                    alpha=alpha, beta=1.0, grid=Grid(0.0, 1.0, 1024), dim=1,
+                    phi=parse(phi, 1), lagrangian=parse(lagrangian, 1),
+                    constraint_map=g, target_set=s,
+                )
+                assert solve(spec).converged
+        assert counts["_penalized"] <= 300
+
     def test_penalized_calls_constrained(self, monkeypatch):
         # a halving-only search needs 253 penalized evaluations on this solve
         g, s = standard_constraint("fixed_both", 1, 0.0, 1.0)
@@ -571,6 +630,38 @@ class TestEvaluationCounts:
         result = solve(spec)
         assert result.converged
         assert counts["_penalized"] <= 60
+
+
+THREE_DIM_LAGRANGIAN = (
+    "0.5*(u1^2 + u2^2 + u3^2) + 0.5*(x1^2 + x2^2 + x3^2)"
+    " + 0.2*sin(x1)*u2 + 0.1*x3*u1 + 0.05*t*x2^2"
+)
+
+
+class TestLargeRhoStages:
+    """Penalty stages whose first steps overshoot by decades at large rho."""
+
+    def test_fixed_initial_few_evaluations(self, monkeypatch):
+        # a 0.1 floor on the interpolated step took 2016 penalized evaluations
+        g, s = standard_constraint("fixed_initial", 1, [0.0])
+        spec = dataclasses.replace(classic_spec(n_cells=1024, alpha=0.6, beta=0.7),
+                                   constraint_map=g, target_set=s)
+        counts = {}
+        TestEvaluationCounts._count(monkeypatch, solver_module, "_penalized", counts)
+        assert solve(spec).converged
+        assert counts["_penalized"] <= 60
+
+    def test_three_dim_fixed_both_converges(self):
+        # with a 0.1 floor the rho = 1e6 stage stalled after 217 iterations
+        g, s = standard_constraint("fixed_both", 3, [0.0, 0.5, -0.5], [1.0, 1.0, 1.0])
+        spec = ProblemSpec(
+            alpha=0.9, beta=0.8, grid=Grid(0.0, 1.0, 512), dim=3,
+            phi=parse("0", 3), lagrangian=parse(THREE_DIM_LAGRANGIAN, 3),
+            constraint_map=g, target_set=s,
+        )
+        result = solve(spec)
+        assert result.converged
+        assert result.feasibility_distance < 1e-5
 
 
 class TestWholeSpaceTarget:
@@ -732,14 +823,17 @@ def test_lbfgs_direction_matches_two_loop_reference(rng):
         assert got.tobytes() == reference_direction(g, s_hist[:k], y_hist[:k]).tobytes()
 
 
-def list_descend(fun, z, lo, hi, tol, max_iters, cfg):
+def list_descend(fun, z, lo, hi, tol, max_iters, cfg, start=None):
     """The descent with a fresh (s, y) pair per step in a plain list: the
     reference for the preallocated pair block of _descend, with the same
-    switches from the long to the short scaling."""
+    switches from the long to the short scaling and the same optional start."""
     SolverError = solver_module.SolverError
     z = np.clip(z, lo, hi)
-    f, grad = fun(z)
-    g = grad()
+    if start is None:
+        f, grad = fun(z)
+        g = grad()
+    else:
+        f, g = start
     eps = np.finfo(float).eps
     history = []
     short = False
@@ -778,7 +872,7 @@ def list_descend(fun, z, lo, hi, tol, max_iters, cfg):
                     short = True
                 if slope < 0.0 and 1e3 * eps * abs(f) < rise < math.inf:
                     t = 0.5 * slope * step / (slope - rise)
-                    step = min(max(t, 0.1 * step), cfg.shrink * step)
+                    step = min(t, cfg.shrink * step)
                 else:
                     step *= cfg.shrink
             if accepted or not long_shaped:
@@ -884,9 +978,9 @@ class TestPairBlock:
     def test_fixed_both_solve(self, monkeypatch):
         block_descend, stages = solver_module._descend, []
 
-        def both(fun, z, lo, hi, tol, max_iters, cfg):
-            got = block_descend(fun, z, lo, hi, tol, max_iters, cfg)
-            assert_same_descent(got, list_descend(fun, z, lo, hi, tol, max_iters, cfg))
+        def both(fun, z, lo, hi, tol, max_iters, cfg, start=None):
+            got = block_descend(fun, z, lo, hi, tol, max_iters, cfg, start)
+            assert_same_descent(got, list_descend(fun, z, lo, hi, tol, max_iters, cfg, start))
             stages.append(got[3])
             return got
 
