@@ -384,7 +384,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code == 2 else exc.code
     try:
         return args.func(args)
-    except (InputError, SolverError, EvalError, RegularityError) as exc:
+    except (InputError, OSError, SolverError, EvalError, RegularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -418,7 +418,7 @@ def differentiate(e: Expr, var: str) -> Expr:
     # power
     if isinstance(b, Const):
         return _mul(_mul(b, _pow(a, _const(b.value - 1.0))), da)
-    if isinstance(a, Const):
+    if isinstance(a, Const) and a.value > 0.0:  # log(a) of a base <= 0 is left to evaluation
         return _mul(_mul(_const(math.log(a.value)), _pow(a, b)), db)
     log_term = _mul(db, Call("log", a))
     ratio_term = _div(_mul(b, da), a)

@@ -67,16 +67,6 @@ def _cost(plan, x: np.ndarray, u: np.ndarray, *parts) -> tuple:
     return mayer + integral, extra
 
 
-def _cost_and_distance(spec: ProblemSpec, traj: TrajectoryPair) -> tuple:
-    """The cost of traj and the distance of g(x(a), x(b)) to the target set, from
-    one _cost call; the distance is 0 without a constraint or to the whole space."""
-    x, u = traj.state(spec.alpha).values, traj.u.values
-    if spec.constraint_map is None or isinstance(spec.target_set, WholeSpace):
-        return _cost(spec._plan, x, u)[0], 0.0
-    value, (g_val,) = _cost(spec._plan, x, u, "g")
-    return value, dist(spec.target_set, g_val)
-
-
 def _cost_gradient(plan, x: np.ndarray, u: np.ndarray, out: np.ndarray, outer=None):
     """Gradient of the cost in the cell controls and y, written into out.
 
@@ -106,6 +96,21 @@ def _cost_gradient(plan, x: np.ndarray, u: np.ndarray, out: np.ndarray, outer=No
     if outer is not None:
         _pull_back(plan, jacobian, outer, out)
     return grad_u, grad_y, jacobian
+
+
+def objective_gradient(spec: ProblemSpec, traj: TrajectoryPair):
+    """Gradient of the discrete cost in (u, y).
+
+    It is the exact transpose of the linear maps inside the first Gateaux
+    differential, so grad . delta reproduces gateaux_first(delta) to rounding.
+    The last control node does not enter the quadrature; its entry is zero.
+    """
+    out = np.empty(spec.grid.n_cells * spec.dim + spec.dim)
+    x = traj.state(spec.alpha).values
+    grad_cells, grad_y, _ = _cost_gradient(spec._plan, x, traj.u.values, out)
+    grad_u = np.zeros_like(traj.u.values)
+    grad_u[:-1] = grad_cells
+    return GridFn(spec.grid, grad_u), grad_y
 
 
 def _pull_back(plan, jacobian, outer, out):
@@ -260,8 +265,7 @@ def needle_bounds_check(
 
 def y_sensitivity(spec: ProblemSpec, traj: TrajectoryPair, y_dir) -> float:
     """Directional derivative of the cost in the initial value."""
-    out = np.empty(spec.grid.n_cells * spec.dim + spec.dim)
-    _, grad_y, _ = _cost_gradient(spec._plan, traj.state(spec.alpha).values, traj.u.values, out)
+    grad_y = objective_gradient(spec, traj)[1]
     return float(grad_y @ np.atleast_1d(np.asarray(y_dir, dtype=float)))
 
 
@@ -271,5 +275,10 @@ def penalized_value(
     """Ekeland-style penalty: sqrt(((cost - ref + eps)^+)^2 + dist^2 to the target)."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    cost, feas = _cost_and_distance(spec, traj)
+    x, u = traj.state(spec.alpha).values, traj.u.values
+    if spec.constraint_map is None or isinstance(spec.target_set, WholeSpace):
+        cost, feas = _cost(spec._plan, x, u)[0], 0.0
+    else:
+        cost, (g_val,) = _cost(spec._plan, x, u, "g")
+        feas = dist(spec.target_set, g_val)
     return math.hypot(max(cost - ref_value + epsilon, 0.0), feas)

@@ -16,9 +16,11 @@ with no evaluation.
 Trial points are evaluated on plain arrays, not on GridFn or TrajectoryPair
 objects: the state x = y + I^alpha[u] is the frac_ops left-sum kernel plus y,
 the cost comes from the array kernels that bolza_eval and objective_gradient
-wrap, and a non-finite state is a rejected step. Only the final point becomes
-a TrajectoryPair, with the state of its last evaluation cached, whose
-objective and distance come from the same cost kernel.
+wrap, and a non-finite state is a rejected step. The point last given a
+gradient is kept in one record: its state, cost, gap to the target set,
+distance and Jacobian of g. A later stage starts from it, and the final point
+becomes a TrajectoryPair with that state cached and that cost and distance
+as its objective and feasibility, so nothing is evaluated after the descent.
 
 Each descent keeps its L-BFGS correction pairs (s, y) in the rows of one block
 of memory + 1 rows, allocated once per descent as in the fixed storage of
@@ -49,7 +51,7 @@ from .conditions import RegularityError, ResidualReport, build_report
 from .convex import project
 from .expr import EvalError, Var
 from .frac_ops import GridFn, _left_sums
-from .functional import _cost, _cost_and_distance, _cost_gradient, _pull_back
+from .functional import _cost, _cost_gradient, _pull_back, objective_gradient
 from .model import ProblemSpec, TrajectoryPair, WholeSpace
 
 __all__ = [
@@ -109,24 +111,6 @@ class SolveResult:
     converged: bool
 
 
-# -- exact gradient of the discrete functional -----------------------------------
-
-
-def objective_gradient(spec: ProblemSpec, traj: TrajectoryPair):
-    """Gradient of the discrete cost in (u, y).
-
-    It is the exact transpose of the linear maps inside the first Gateaux
-    differential, so grad . delta reproduces gateaux_first(delta) to rounding.
-    The last control node does not enter the quadrature; its entry is zero.
-    """
-    out = np.empty(spec.grid.n_cells * spec.dim + spec.dim)
-    x = traj.state(spec.alpha).values
-    grad_cells, grad_y, _ = _cost_gradient(spec._plan, x, traj.u.values, out)
-    grad_u = np.zeros_like(traj.u.values)
-    grad_u[:-1] = grad_cells
-    return GridFn(spec.grid, grad_u), grad_y
-
-
 # -- penalty plumbing ------------------------------------------------------------
 
 
@@ -144,7 +128,7 @@ def _traj_from(spec: ProblemSpec, z: np.ndarray) -> TrajectoryPair:
     return TrajectoryPair(GridFn(spec.grid, _controls(spec, z)), z[spec.grid.n_cells * spec.dim :])
 
 
-def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float, accepted=None):
+def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float, last=None):
     """Value of Phi + rho * dist^2 to the target set, and a thunk for its gradient.
 
     The trial point is evaluated on plain arrays: the control rows u and the
@@ -153,8 +137,10 @@ def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float, accepted=None):
     rejected step. L comes from one compiled running call, phi and g from one
     endpoint call. The line search needs only values; the gradient is
     computed when a trial point is accepted, from the same u and x, and is
-    written straight into the vector it returns, and [u, x, gap, Jacobian of
-    g] of this point (gap None without a penalty) go into accepted, if given.
+    written straight into the vector it returns. The thunk also fills the
+    dict last, if given, with this point's state "x", "cost" Phi, "gap"
+    g - P_S(g) (None without a penalty), distance "feas" = |gap| and
+    "jacobian" [g_a, g_b] of g.
     """
     plan = spec._plan
     u = _controls(spec, z)
@@ -163,25 +149,25 @@ def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float, accepted=None):
     if not (np.isfinite(u).all() and np.isfinite(x).all()):
         raise SolverError("trial control or state is not finite")
     constrained = spec.constraint_map is not None and rho > 0.0
-    gap = None
+    gap, feas = None, 0.0
     if constrained:
-        value, (g_val,) = _cost(plan, x, u, "g")
+        cost, (g_val,) = _cost(plan, x, u, "g")
         gap = g_val - project(spec.target_set, g_val)  # half the gradient of dist^2
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
             feas = float(np.linalg.norm(gap))
-        value += rho * feas * feas
+        value = cost + rho * feas * feas
     else:
-        value, _ = _cost(plan, x, u)
+        value = cost = _cost(plan, x, u)[0]
     if not np.isfinite(value):
         raise SolverError("penalized objective is not finite")
 
     def gradient():
-        if accepted is not None:
-            accepted.clear()  # the last point's arrays go before this gradient's temporaries
+        if last is not None:
+            last.clear()  # the last point's arrays go before this gradient's temporaries
         out = np.empty(z.size)
         *_, jacobian = _cost_gradient(plan, x, u, out, rho * (2.0 * gap) if constrained else None)
-        if accepted is not None:
-            accepted[:] = u, x, gap, jacobian
+        if last is not None:
+            last.update(x=x, cost=cost, gap=gap, feas=feas, jacobian=jacobian)
         return out
 
     return value, gradient
@@ -345,7 +331,7 @@ def solve(
         stages = stages[-1:]
     total_iters = 0
     converged = False
-    accepted = []  # [u, x, gap, Jacobian of g] at the last point given a gradient
+    last = {}  # the point last given a gradient, as _penalized records it
     start = None  # value and gradient handed on to the next stage
     for eps, rho in stages:
         tol = max(1e-7, math.sqrt(eps) * 1e-3)  # the floor binds only for eps < 1e-8
@@ -356,19 +342,18 @@ def solve(
         if start is not None:
             # the last stage ended on the last point given a gradient, where
             # only rho has changed: add (rho - rho_last) dist^2 and its gradient
-            _, _, gap, jacobian = accepted
             f, g = start
-            _pull_back(spec._plan, jacobian, (rho - rho_last) * (2.0 * gap), g)
+            gap = last["gap"]
+            _pull_back(spec._plan, last["jacobian"], (rho - rho_last) * (2.0 * gap), g)
             start = f + (rho - rho_last) * float(gap @ gap), g
-        fun = lambda zz, r=(rho if constrained else 0.0): _penalized(spec, zz, r, accepted)
+        fun = lambda zz, r=(rho if constrained else 0.0): _penalized(spec, zz, r, last)
         z, f, g, used, converged = _descend(fun, z, lo, hi, tol, budget, config, start)
         start, rho_last = (f, g), rho
         total_iters += used
     traj = _traj_from(spec, z)
     # z is the last point given a gradient: its state has the bytes that
     # TrajectoryPair.state would compute, so no convolution rebuilds it
-    traj._states[spec.alpha] = GridFn(spec.grid, accepted[1])
-    objective, feas = _cost_and_distance(spec, traj)
+    traj._states[spec.alpha] = GridFn(spec.grid, last["x"])
     try:
         report = build_report(spec, traj)
     except RegularityError as exc:
@@ -376,8 +361,8 @@ def solve(
         raise
     return SolveResult(
         traj=traj,
-        objective=objective,
-        feasibility_distance=feas,
+        objective=last["cost"],
+        feasibility_distance=last["feas"],
         report=report,
         iterations=total_iters,
         converged=converged,
@@ -387,13 +372,11 @@ def solve(
 def nonexistence_diagnostic(spec: ProblemSpec, result: SolveResult) -> dict:
     """Flag candidates whose endpoint condition at b is structurally unsatisfiable.
 
-    For alpha < 1 with beta >= 1 (or beta > alpha) the right integral in the
-    endpoint condition vanishes identically, so a nonzero gradient of phi in
-    its second argument rules out any trajectory satisfying the necessary
-    conditions.
+    For alpha < 1 with beta > alpha the right integral in the endpoint
+    condition vanishes identically, so a nonzero gradient of phi in its second
+    argument rules out any trajectory satisfying the necessary conditions.
     """
-    in_regime = spec.alpha < 1.0 and (spec.beta >= 1.0 or spec.beta > spec.alpha)
-    if not in_regime:
+    if not (spec.alpha < 1.0 and spec.beta > spec.alpha):
         return {"applicable": False, "flag": False, "dphi_b_norm": None,
                 "transversality_b": None}
     x = result.traj.state(spec.alpha)

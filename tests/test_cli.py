@@ -193,6 +193,12 @@ class TestSolveCommand:
         assert main(["solve", problem_file(lagrangian="0.5*u1^2 - log(x1)")]) == 1
         assert capsys.readouterr().err.startswith("error: non-finite value")
 
+    @pytest.mark.parametrize("base", ["0", "(-2)"])
+    def test_non_positive_constant_base_reported(self, problem_file, capsys, base):
+        path = problem_file(lagrangian=f"0.5*u1^2 + {base}^x1")
+        assert main(["solve", path]) == 1
+        assert capsys.readouterr().err.startswith("error: non-finite value")
+
     @pytest.mark.parametrize("constraint, target", [
         # x(b) in [0.5, 1.5]; phi = x(b) pushes it down onto 0.5
         ({"g": ["xb1"], "set": {"type": "ball", "center": [1.0], "radius": 0.5}}, "ball"),
@@ -366,7 +372,7 @@ class TestTrajectoryCSV:
             with pytest.raises(InputError, match="rows"):
                 load_trajectory(path, load_problem(problem_file()))
 
-    @pytest.mark.parametrize("edit", ["ragged", "trailing_comma", "underscore_literal"])
+    @pytest.mark.parametrize("edit", ["ragged", "trailing_comma", "underscore_literal", "t_not_increasing"])
     def test_malformed_row_exit_code(self, problem_file, tmp_path, capsys, edit):
         spec = load_problem(problem_file())
         rows = [f"{float(t)!r},0.0" for t in spec.grid.nodes()]
@@ -374,10 +380,18 @@ class TestTrajectoryCSV:
             "ragged": rows[7] + ",1.0",
             "trailing_comma": rows[7] + ",",
             "underscore_literal": f"{float(spec.grid.nodes()[7])!r},1_0",
+            "t_not_increasing": rows[6],
         }[edit]
         path = self.write_lines(tmp_path, ["# y = 0.0", "t,u_1"] + rows)
         assert main(["check", problem_file(), path]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_header(self, problem_file, tmp_path, capsys):
+        spec = load_problem(problem_file())
+        rows = [f"{float(t)!r},0.0" for t in spec.grid.nodes()]
+        path = self.write_lines(tmp_path, ["# y = 0.0", "t,u_2"] + rows)
+        assert main(["check", problem_file(), path]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: expected header t,u_1")
 
     def test_quotes_comments_and_blank_lines_accepted(self, spec_3d, tmp_path, rng):
         values = rng.standard_normal((spec_3d.grid.n_nodes, 3))
@@ -396,7 +410,7 @@ class TestTrajectoryCSV:
 
     @pytest.mark.parametrize("y_line, row", [
         ("# y = abc", None), ("# y =", None), ("# y = 1,,2", None),
-        ("# y = nan", None), ("# y = 0.0", "nan"),
+        ("# y = nan", None), ("# y = 0.0", "nan"), ("# y = 0.0,1.0", None),
     ])
     def test_bad_initial_value_or_entry_exit_code(self, problem_file, tmp_path, capsys, y_line, row):
         spec = load_problem(problem_file())
@@ -451,6 +465,10 @@ class TestSweepCommand:
     def test_bad_alpha_value_in_list(self, problem_file):
         assert main(["sweep-alpha", problem_file(), "--alphas", "1.0,0.0"]) == 1
 
+    def test_non_numeric_alpha_in_list(self, problem_file, capsys):
+        assert main(["sweep-alpha", problem_file(), "--alphas", "0.5,abc"]) == 1
+        assert capsys.readouterr().err.startswith("error: bad --alphas list")
+
     def test_every_alpha_checked_before_solving(self, problem_file, monkeypatch, capsys):
         solves = []
         monkeypatch.setattr("fvc.cli.solve", lambda *args: solves.append(args))
@@ -486,6 +504,13 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: fvc")
 
 
+class TestLogLevel:
+    def test_unknown_level_runs_quiet(self, problem_file, monkeypatch, capsys):
+        monkeypatch.setenv("FVC_LOG", "chatty")
+        assert main(["sweep-alpha", problem_file(), "--alphas", "1.0", "--n-cells", "32"]) == 0
+        assert "alpha=" not in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_identical_output_files(self, problem_file, tmp_path):
         paths = []
@@ -507,6 +532,27 @@ class TestDeterminism:
             )
             paths.append((out.read_bytes(), traj.read_bytes()))
         assert paths[0] == paths[1]
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", [
+        ["solve", "--out"], ["solve", "--traj-out"], ["sweep-alpha", "--alphas", "1.0", "--out"],
+    ])
+    def test_reported_as_error(self, problem_file, tmp_path, capsys, command):
+        path = str(tmp_path / "missing" / "out")
+        argv = [command[0], problem_file(grid={"n_cells": 32})] + command[1:] + [path]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
+
+    def test_check_out(self, problem_file, tmp_path, capsys):
+        spec = load_problem(problem_file())
+        traj_path = tmp_path / "zero.csv"
+        write_trajectory(str(traj_path), TrajectoryPair(GridFn.constant(spec.grid, 0.0), np.zeros(1)))
+        path = str(tmp_path / "missing" / "report.json")
+        assert main(["check", problem_file(), str(traj_path), "--out", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
 
 
 class TestSkippedStagesExitCode:

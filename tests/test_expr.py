@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,20 @@ class TestParseEval:
         env = {"x1": 1.0, "u1": 4.0}
         assert evaluate(a, env) == evaluate(b, env)
 
+    @pytest.mark.parametrize("src, message, offset", [
+        ("x1 @ 2", "unexpected character '@'", 3),
+        ("(x1", "expected ')'", 3),
+        ("t1", "unknown identifier 't1'", 0),
+        ("x", "variable 'x' is missing an index", 0),
+    ])
+    def test_error_message_and_offset(self, src, message, offset):
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse(src, 1)
+        assert exc.value.offset == offset
+
+    def test_trailing_whitespace(self):
+        assert evaluate(parse("x1 + 1  \t", 1), {"x1": 2.0}) == 3.0
+
     def test_vectorized_evaluation(self):
         e = parse("x1^2 + t", 1)
         out = evaluate(e, {"x1": np.array([1.0, 2.0]), "t": np.array([0.0, 1.0])})
@@ -116,6 +131,18 @@ class TestDifferentiate:
         d = differentiate(e, "u1")
         val = evaluate(d, {"x1": 2.0, "u1": 3.0})
         assert math.isclose(val, 8.0 * math.log(2.0), rel_tol=1e-12)
+
+    def test_constant_base(self):
+        d = differentiate(parse("2^x1", 1), "x1")
+        assert d == Bin("*", Const(math.log(2.0)), Bin("^", Const(2.0), Var("x1")))
+        for x in (-1.5, 0.0, 3.0):
+            assert evaluate(d, {"x1": x}) == math.log(2.0) * 2.0**x
+
+    @pytest.mark.parametrize("base", ["0", "(-2)"])
+    def test_non_positive_constant_base_fails_at_evaluation(self, base):
+        d = differentiate(parse(f"{base}^x1", 1), "x1")
+        with pytest.raises(EvalError, match="non-finite value"):
+            evaluate(d, {"x1": 1.0})
 
     def test_quotient(self):
         d = differentiate(parse("x1/u1", 1), "u1")

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -116,3 +117,13 @@ def test_benchmark_traced_names_resolve():
             assert callable(vars(getattr(owner, cls_name))[meth]), attr
         else:
             assert callable(getattr(owner, attr)), f"{module_name}.{attr}"
+
+
+def test_exported_names_resolve():
+    # a name moved between modules must stay importable where __all__ lists it
+    modules = [importlib.import_module(f"fvc.{m.name}") for m in pkgutil.iter_modules(fvc.__path__)]
+    assert len(modules) >= 8
+    for module in modules:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    assert fvc.solver.objective_gradient is fvc.functional.objective_gradient

@@ -564,6 +564,16 @@ class TestEvaluationCounts:
         build_report(spec, fresh)
         assert counts["state"] == 1
 
+    def test_nothing_evaluated_after_descent(self, monkeypatch):
+        # the objective and feasibility are those of the last point given a
+        # gradient, so no cost or distance is computed for the final pair
+        counts = {}
+        self._count(monkeypatch, functional, "_cost", counts)
+        self._count(monkeypatch, functional, "dist", counts)
+        result = solve(self._fixed_both_spec())
+        assert result.converged and result.feasibility_distance > 0.0
+        assert counts == {}
+
     def test_grid_functions_do_not_grow_with_evaluations(self, monkeypatch):
         spec = dataclasses.replace(self._fixed_both_spec(), alpha=0.5, beta=0.5)
         built = {}
