@@ -44,6 +44,8 @@ from .solver import (
 __all__ = ["main", "load_problem", "load_trajectory", "write_trajectory"]
 
 log = logging.getLogger("fvc")
+_handler = logging.StreamHandler()  # the one handler of log; main points it at the current stderr
+_handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -369,11 +371,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging():
+    """Apply FVC_LOG to the fvc logger on each call, writing to the current sys.stderr."""
     level = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    name = os.environ.get("FVC_LOG", "quiet").lower()
-    if name not in level:
-        name = "quiet"
-    logging.basicConfig(level=level[name], format="%(levelname)s %(message)s")
+    log.setLevel(level.get(os.environ.get("FVC_LOG", "quiet").lower(), logging.ERROR))
+    _handler.stream = sys.stderr
+    log.addHandler(_handler)  # adds nothing once it is there
+    log.propagate = False
 
 
 def main(argv=None) -> int:

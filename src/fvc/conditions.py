@@ -70,8 +70,8 @@ class ResidualReport:
             "adjoint_p": self.adjoint_p.values.tolist(),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 # -- shared profiles -------------------------------------------------------------
@@ -209,14 +209,13 @@ def rigidity_probe(
     u_left: GridFn,
     window,
     fit_degree: int = 0,
-    n_eval: int = 200,
 ) -> float:
     """Sup-norm defect of a polynomial fit to the memory term on a window.
 
-    Psi(t) = int_a^c (t-s)^(alpha-1)/Gamma(alpha) u_left(s) ds is evaluated on
-    a fine grid of [c, d] (c = right end of u_left's grid, so the kernel is
-    nonsingular) and fitted by a degree fit_degree polynomial in least
-    squares. The residual is zero only for u_left identically zero.
+    Psi(t) = int_a^c (t-s)^(alpha-1)/Gamma(alpha) u_left(s) ds is evaluated at
+    200 evenly spaced points of [c, d] (c = right end of u_left's grid, so the
+    kernel is nonsingular) and fitted by a degree fit_degree polynomial in
+    least squares. The residual is zero only for u_left identically zero.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"need alpha in (0,1), got {alpha}")
@@ -226,8 +225,8 @@ def rigidity_probe(
         raise ValueError(f"window [{c}, {d}] must sit right of the data interval")
     if fit_degree < 0:
         raise ValueError("fit_degree must be nonnegative")
-    t_eval = np.linspace(c, d, n_eval)
-    # exact cell moments of the kernel: shape (n_eval, n_cells)
+    t_eval = np.linspace(c, d, 200)
+    # exact cell moments of the kernel: shape (200, n_cells)
     gaps = t_eval[:, None] - grid.nodes()[None, :]
     psi = _cell_moments(gaps[:, :-1], gaps[:, 1:], alpha) @ u_left.values[:-1]
     # centered abscissa keeps the Vandermonde fit well conditioned
@@ -267,9 +266,7 @@ def _adjoint_profile(spec: ProblemSpec, d1: np.ndarray, ends: list, psi) -> Grid
     return GridFn(spec.grid, w_alpha * endpoint[None, :] + memory.values)
 
 
-def build_report(
-    spec: ProblemSpec, traj: TrajectoryPair, legendre_tol: float = DEFAULT_LEGENDRE_TOL
-) -> ResidualReport:
+def build_report(spec: ProblemSpec, traj: TrajectoryPair) -> ResidualReport:
     """Every residual of one candidate, from two right integrals and one endpoint call."""
     d1, iw, ends = _right_terms(spec, traj)
     profile, sup = _el_profile(spec, d1, iw)
@@ -278,7 +275,7 @@ def build_report(
         psi, cone_ok, (res_a, res_b) = _multiplier(spec, iw, ends)
     else:
         res_a, res_b = _transversality(spec, iw, ends)
-    leg_profile, leg_ok = legendre_check(spec, traj, legendre_tol)
+    leg_profile, leg_ok = legendre_check(spec, traj)
     return ResidualReport(
         el_residual_sup=sup,
         el_residual_profile=profile,

@@ -4,13 +4,14 @@ Expressions are parsed from strings like ``"0.5*(x1^2 + u1^2)"`` over the
 variables ``t``, ``x1..xn``, ``u1..un``, ``xa1..xan``, ``xb1..xbn``. The
 syntax trees support evaluation (scalars or numpy arrays, elementwise) and
 repeated partial differentiation. No simplification is done beyond constant
-folding.
+folding, and every folding rule is listed and applied in one place, ``_bin``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -39,15 +40,17 @@ _OUTER = {
     "sin": lambda e: Call("cos", e.arg),
     "cos": lambda e: _neg(Call("sin", e.arg)),
     "exp": lambda e: e,
-    "log": lambda e: _div(_const(1.0), e.arg),
-    "sqrt": lambda e: _div(_const(0.5), e),
+    "log": lambda e: _bin("/", _const(1.0), e.arg),
+    "sqrt": lambda e: _bin("/", _const(0.5), e),
     "cosh": lambda e: Call("sinh", e.arg),
     "sinh": lambda e: Call("cosh", e.arg),
     "abs": lambda e: Call("sign", e.arg),
     "sign": lambda e: _const(0.0),  # zero almost everywhere
 }
 
-_VAR_RE = re.compile(r"(t|x|u|xa|xb)([0-9]*)$")
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": operator.pow}
+
+_VAR_RE = re.compile(r"(x|u|xa|xb)([0-9]*)$")
 
 
 class ParseError(ValueError):
@@ -104,59 +107,35 @@ def _const(v: float) -> Const:
     return Const(float(v))
 
 
-def _add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value + b.value)
-    if isinstance(a, Const) and a.value == 0.0:
-        return b
-    if isinstance(b, Const) and b.value == 0.0:
-        return a
-    return Bin("+", a, b)
+def _bin(op: str, a: Expr, b: Expr) -> Expr:
+    """The node a op b, folded by the first of these rules that applies. A
+    constant is a Const node, and -0.0 counts as 0 in every test.
 
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value - b.value)
-    if isinstance(b, Const) and b.value == 0.0:
-        return a
-    if isinstance(a, Const) and a.value == 0.0:
-        return _neg(b)
-    return Bin("-", a, b)
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value * b.value)
-    if isinstance(a, Const):
-        if a.value == 0.0:
-            return _const(0.0)
-        if a.value == 1.0:
-            return b
-    if isinstance(b, Const):
-        if b.value == 0.0:
-            return _const(0.0)
-        if b.value == 1.0:
-            return a
-    return Bin("*", a, b)
-
-
-def _div(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and a.value == 0.0:
+    - ``0 / b = +0.0``, then ``a / 1 = a``: -0.0/1 gives +0.0.
+    - ``a ^ 1 = a`` and ``a ^ 0 = 1``.
+    - Two constants combine under + - * ^ (0*inf gives nan), but not under /: 1/2 stays.
+    - ``0 + b = b``, ``a + 0 = a``, ``a - 0 = a`` and ``0 - b = -b``.
+    - ``0 * b = a * 0 = 0``, ``1 * b = b`` and ``a * 1 = a``.
+    """
+    left = a.value if isinstance(a, Const) else None
+    right = b.value if isinstance(b, Const) else None
+    if op == "/" and left == 0.0:
         return _const(0.0)
-    if isinstance(b, Const) and b.value == 1.0:
+    if op in "/^" and right == 1.0:
         return a
-    return Bin("/", a, b)
-
-
-def _pow(a: Expr, b: Expr) -> Expr:
-    if isinstance(b, Const):
-        if b.value == 1.0:
-            return a
-        if b.value == 0.0:
-            return _const(1.0)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value**b.value)
-    return Bin("^", a, b)
+    if op == "^" and right == 0.0:
+        return _const(1.0)
+    if op != "/" and left is not None and right is not None:
+        return _const(_FOLD[op](left, right))
+    if op == "*" and (left == 0.0 or right == 0.0):
+        return _const(0.0)
+    if (op in "+-" and right == 0.0) or (op == "*" and right == 1.0):
+        return a
+    if (op == "+" and left == 0.0) or (op == "*" and left == 1.0):
+        return b
+    if op == "-" and left == 0.0:
+        return _neg(b)
+    return Bin(op, a, b)
 
 
 def _neg(a: Expr) -> Expr:
@@ -170,23 +149,17 @@ def _neg(a: Expr) -> Expr:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 
 def _tokenize(source: str):
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos + len(source[pos:]) - len(stripped))
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
     tokens.append(("end", "", len(source)))
     return tokens
 
@@ -197,19 +170,17 @@ class _Parser:
         self.i = 0
         self.dim = dim
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
+    def accept(self, ops: str):
+        """Consume the next token and return its text if it is one of the operators ops."""
+        kind, text, _ = self.tokens[self.i]
+        if kind != "op" or text not in ops:
+            return None
         self.i += 1
-        return tok
+        return text
 
-    def expect_op(self, op: str):
-        kind, text, off = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", off)
-        self.next()
+    def expect(self, op: str):
+        if self.accept(op) is None:
+            raise ParseError(f"expected {op!r}", self.tokens[self.i][2])
 
     def parse_expr(self) -> Expr:
         return self._left_assoc("+-", self.parse_term)
@@ -219,64 +190,54 @@ class _Parser:
 
     def _left_assoc(self, ops: str, operand) -> Expr:
         node = operand()
-        while self.peek()[0] == "op" and self.peek()[1] in ops:
-            node = Bin(self.next()[1], node, operand())
+        while op := self.accept(ops):
+            node = Bin(op, node, operand())
         return node
 
     def parse_unary(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.next()
+        if self.accept("-"):
             return _neg(self.parse_unary())
         return self.parse_power()
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.next()
-            # right-associative; exponent binds tighter than unary minus
-            kind2, text2, _ = self.peek()
-            if kind2 == "op" and text2 == "-":
-                self.next()
-                exponent = _neg(self.parse_power())
-            else:
-                exponent = self.parse_power()
-            return Bin("^", base, exponent)
-        return base
+        if not self.accept("^"):
+            return base
+        # right-associative; the exponent binds tighter than unary minus and
+        # takes at most one leading minus, so x^--y is an error
+        if self.accept("-"):
+            return Bin("^", base, _neg(self.parse_power()))
+        return Bin("^", base, self.parse_power())
 
     def parse_atom(self) -> Expr:
-        kind, text, off = self.next()
+        if self.accept("("):
+            node = self.parse_expr()
+            self.expect(")")
+            return node
+        kind, text, off = self.tokens[self.i]
+        self.i += 1
         if kind == "num":
             return _const(float(text))
         if kind == "name":
             if text in _FUNCS:
-                self.expect_op("(")
+                self.expect("(")
                 arg = self.parse_expr()
-                self.expect_op(")")
+                self.expect(")")
                 return Call(text, arg)
             return self._variable(text, off)
-        if kind == "op" and text == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
         raise ParseError("expected a value", off)
 
     def _variable(self, name: str, off: int) -> Var:
+        if name == "t":
+            return Var("t")
         m = _VAR_RE.match(name)
         if m is None:
             raise ParseError(f"unknown identifier {name!r}", off)
-        stem, index = m.groups()
-        if stem == "t":
-            if index:
-                raise ParseError(f"unknown identifier {name!r}", off)
-            return Var("t")
+        index = m.group(2)
         if not index:
             raise ParseError(f"variable {name!r} is missing an index", off)
         if not (1 <= int(index) <= self.dim):
-            raise ParseError(
-                f"variable index out of range 1..{self.dim}: {name!r}", off
-            )
+            raise ParseError(f"variable index out of range 1..{self.dim}: {name!r}", off)
         return Var(name)
 
 
@@ -286,7 +247,7 @@ def parse(source: str, dim: int) -> Expr:
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(source), dim)
     node = parser.parse_expr()
-    kind, text, off = parser.peek()
+    kind, text, off = parser.tokens[parser.i]
     if kind != "end":
         raise ParseError(f"unexpected {text!r}", off)
     return node
@@ -396,33 +357,29 @@ def differentiate(e: Expr, var: str) -> Expr:
 
     abs differentiates to a sign factor that evaluates to 0 at the kink.
     """
-    if isinstance(e, Const):
-        return _const(0.0)
-    if isinstance(e, Var):
-        return _const(1.0) if e.name == var else _const(0.0)
+    if isinstance(e, (Const, Var)):
+        return _const(1.0 if isinstance(e, Var) and e.name == var else 0.0)
     if isinstance(e, Neg):
         return _neg(differentiate(e.arg, var))
     if isinstance(e, Call):
-        return _mul(_OUTER[e.fn](e), differentiate(e.arg, var))
+        return _bin("*", _OUTER[e.fn](e), differentiate(e.arg, var))
     da = differentiate(e.left, var)
     db = differentiate(e.right, var)
     a, b = e.left, e.right
-    if e.op == "+":
-        return _add(da, db)
-    if e.op == "-":
-        return _sub(da, db)
+    if e.op in "+-":
+        return _bin(e.op, da, db)
     if e.op == "*":
-        return _add(_mul(da, b), _mul(a, db))
+        return _bin("+", _bin("*", da, b), _bin("*", a, db))
     if e.op == "/":
-        return _sub(_div(da, b), _div(_mul(a, db), _mul(b, b)))
+        return _bin("-", _bin("/", da, b), _bin("/", _bin("*", a, db), _bin("*", b, b)))
     # power
     if isinstance(b, Const):
-        return _mul(_mul(b, _pow(a, _const(b.value - 1.0))), da)
+        return _bin("*", _bin("*", b, _bin("^", a, _const(b.value - 1.0))), da)
     if isinstance(a, Const) and a.value > 0.0:  # log(a) of a base <= 0 is left to evaluation
-        return _mul(_mul(_const(math.log(a.value)), _pow(a, b)), db)
-    log_term = _mul(db, Call("log", a))
-    ratio_term = _div(_mul(b, da), a)
-    return _mul(_pow(a, b), _add(log_term, ratio_term))
+        return _bin("*", _bin("*", _const(math.log(a.value)), _bin("^", a, b)), db)
+    log_term = _bin("*", db, Call("log", a))
+    ratio_term = _bin("/", _bin("*", b, da), a)
+    return _bin("*", _bin("^", a, b), _bin("+", log_term, ratio_term))
 
 
 # -- printing -----------------------------------------------------------------

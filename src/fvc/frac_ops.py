@@ -72,10 +72,10 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return self.a + self.h * np.arange(self.n_nodes)
 
-    def node_index(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the node equal to t; raises if t is not a node."""
+    def node_index(self, t: float) -> int:
+        """Index of the node equal to t to a relative 1e-9; raises if t is not a node."""
         k = round((t - self.a) / self.h)
-        if k < 0 or k > self.n_cells or abs(self.a + k * self.h - t) > tol * max(1.0, abs(t)):
+        if k < 0 or k > self.n_cells or abs(self.a + k * self.h - t) > 1e-9 * max(1.0, abs(t)):
             raise GridMismatchError(f"t={t} is not a grid node")
         return int(k)
 

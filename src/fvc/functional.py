@@ -70,18 +70,16 @@ def _cost(plan, x: np.ndarray, u: np.ndarray, *parts) -> tuple:
 def _cost_gradient(plan, x: np.ndarray, u: np.ndarray, out: np.ndarray, outer=None):
     """Gradient of the cost in the cell controls and y, written into out.
 
-    out holds n_cells * dim control entries, row by row, then the dim entries
-    of y; the views (grad_u, grad_y) into it are returned. It is the exact
-    transpose of the linear maps inside the first Gateaux differential, so
-    grad . delta reproduces gateaux_first(delta) to rounding. When outer is
-    given, the gradient of outer . g(x(a), x(b)) is added by _pull_back, with
-    the Jacobian [g_a, g_b] taken from the same endpoint call as the gradient
-    of phi; that Jacobian is returned third (an empty list without outer).
+    out is laid out as plan.split reads it; the views (grad_u, grad_y) into it
+    are returned. It is the exact transpose of the linear maps inside the
+    first Gateaux differential, so grad . delta reproduces gateaux_first(delta)
+    to rounding. When outer is given, the gradient of outer . g(x(a), x(b)) is
+    added by _pull_back, with the Jacobian [g_a, g_b] taken from the same
+    endpoint call as the gradient of phi; that Jacobian is returned third (an
+    empty list without outer).
     """
     spec = plan.spec
-    n_u = spec.grid.n_cells * spec.dim
-    grad_u = out[:n_u].reshape(spec.grid.n_cells, spec.dim)
-    grad_y = out[n_u:]
+    grad_u, grad_y = plan.split(out)
     d1, d2 = plan.running(x, u, "L_x", "L_u")
     ends = ("phi_a", "phi_b") if outer is None else ("phi_a", "phi_b", "g_a", "g_b")
     dphi_a, dphi_b, *jacobian = plan.endpoint(x[0], x[-1], *ends)
@@ -116,14 +114,12 @@ def objective_gradient(spec: ProblemSpec, traj: TrajectoryPair):
 def _pull_back(plan, jacobian, outer, out):
     """Add the gradient of outer . g(x(a), x(b)) in (u, y) to out, laid out as
     in _cost_gradient, from the Jacobian [g_a, g_b] of g at the endpoints."""
-    spec = plan.spec
-    n_u = spec.grid.n_cells * spec.dim
     ga, gb = jacobian
     pull_a = ga.T @ outer  # d/dxa, and xa = y
     pull_b = gb.T @ outer  # d/dxb; xb = y + sum_j w_alpha[n-1-j] u_j
-    grad_u = out[:n_u].reshape(spec.grid.n_cells, spec.dim)
+    grad_u, grad_y = plan.split(out)
     grad_u += plan.w_alpha_rev * pull_b[None, :]
-    out[n_u:] += pull_a + pull_b
+    grad_y += pull_a + pull_b
 
 
 def bolza_eval(spec: ProblemSpec, traj: TrajectoryPair) -> float:
@@ -234,10 +230,10 @@ def needle_sensitivity(spec: ProblemSpec, traj: TrajectoryPair, tau: float, v) -
 
 
 def needle_bounds_check(
-    spec: ProblemSpec, traj: TrajectoryPair, p: NeedleParams, radius: float,
-    slack: float = 1e-9,
+    spec: ProblemSpec, traj: TrajectoryPair, p: NeedleParams, radius: float
 ) -> bool:
     """Verify the uniform and pointwise trajectory-deviation bounds of a needle."""
+    slack = 1e-9  # absolute, in every bound test
     if traj.u.sup_norm() > radius + slack or float(np.max(np.abs(p.v))) > radius + slack:
         raise ValueError("control or needle value exceeds the radius bound")
     grid = spec.grid

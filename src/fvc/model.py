@@ -219,6 +219,12 @@ class _Plan:
         self._groups = {}
         self._node_weights = {}
 
+    def split(self, vec: np.ndarray) -> tuple:
+        """Views (cells, y) of a decision vector, which holds the n_cells * dim
+        cell controls row by row and then y; cells has shape (n_cells, dim)."""
+        n_u = self.spec.grid.n_cells * self.spec.dim
+        return vec[:n_u].reshape(-1, self.spec.dim), vec[n_u:]
+
     @functools.cached_property
     def w_beta(self) -> np.ndarray:
         """The weight of each cell in I^beta[.](b) (beta_cell_weights)."""

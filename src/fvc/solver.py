@@ -117,15 +117,12 @@ class SolveResult:
 def _controls(spec: ProblemSpec, z: np.ndarray) -> np.ndarray:
     """Control rows of z at every node, in a fresh array; the last node carries
     no cell and repeats the last cell."""
-    n_u = spec.grid.n_cells * spec.dim
-    u = np.empty((spec.grid.n_nodes, spec.dim))
-    u[:-1] = z[:n_u].reshape(-1, spec.dim)
-    u[-1] = u[-2]
-    return u
+    cells = spec._plan.split(z)[0]
+    return np.concatenate((cells, cells[-1:]))
 
 
 def _traj_from(spec: ProblemSpec, z: np.ndarray) -> TrajectoryPair:
-    return TrajectoryPair(GridFn(spec.grid, _controls(spec, z)), z[spec.grid.n_cells * spec.dim :])
+    return TrajectoryPair(GridFn(spec.grid, _controls(spec, z)), spec._plan.split(z)[1])
 
 
 def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float, last=None):
@@ -145,7 +142,7 @@ def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float, last=None):
     plan = spec._plan
     u = _controls(spec, z)
     x = _left_sums(u[:-1], spec.alpha, spec.grid)
-    x += z[spec.grid.n_cells * spec.dim :]
+    x += plan.split(z)[1]
     if not (np.isfinite(u).all() and np.isfinite(x).all()):
         raise SolverError("trial control or state is not finite")
     constrained = spec.constraint_map is not None and rho > 0.0
@@ -173,11 +170,11 @@ def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float, last=None):
     return value, gradient
 
 
-def _bounds(spec: ProblemSpec, radius: float):
-    n_u = spec.grid.n_cells * spec.dim
-    lo = np.concatenate([np.full(n_u, -radius), np.full(spec.dim, -np.inf)])
-    hi = np.concatenate([np.full(n_u, radius), np.full(spec.dim, np.inf)])
-    return lo, hi
+def _bounds(spec: ProblemSpec, z: np.ndarray, radius: float):
+    """Bounds (lo, hi = -lo) on the entries of z: |u| <= radius per cell, y free."""
+    lo = np.full(z.size, -np.inf)
+    spec._plan.split(lo)[0][:] = -radius
+    return lo, -lo
 
 
 def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig, start=None):
@@ -323,7 +320,7 @@ def solve(
     if initial is None:
         initial = default_initial(spec)
     z = np.concatenate([initial.u.values[:-1].ravel(), initial.y])
-    lo, hi = _bounds(spec, config.radius)
+    lo, hi = _bounds(spec, z, config.radius)
     # the distance to the whole space is identically zero: no penalty stages
     constrained = spec.constraint_map is not None and not isinstance(spec.target_set, WholeSpace)
     stages = list(zip(config.epsilon_schedule, config.penalty_weights))

@@ -315,6 +315,11 @@ class TestCheckCommand:
         assert captured.err.startswith("error: constraint Jacobian is rank deficient")
         assert captured.out == ""
 
+    def test_unreadable_trajectory(self, problem_file, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        assert main(["check", problem_file(), str(missing)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}")
+
     def test_grid_mismatch(self, problem_file, tmp_path):
         spec = load_problem(problem_file())
         rows = ["# y = 0.0", "t,u_1"]
@@ -509,6 +514,20 @@ class TestLogLevel:
         monkeypatch.setenv("FVC_LOG", "chatty")
         assert main(["sweep-alpha", problem_file(), "--alphas", "1.0", "--n-cells", "32"]) == 0
         assert "alpha=" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels, shown", [(("quiet", "info"), True), (("info", "quiet"), False)])
+    def test_each_call_applies_its_level(self, problem_file, monkeypatch, capsys, levels, shown):
+        # one process, two calls: the second call's FVC_LOG decides, and stdout never changes
+        path = problem_file()
+        outs = []
+        for level in levels:
+            monkeypatch.setenv("FVC_LOG", level)
+            capsys.readouterr()
+            assert main(["sweep-alpha", path, "--alphas", "1.0", "--n-cells", "32"]) == 0
+            captured = capsys.readouterr()
+            outs.append(captured.out)
+        assert ("INFO alpha=1 " in captured.err) == shown
+        assert outs[0] == outs[1]
 
 
 class TestDeterminism:

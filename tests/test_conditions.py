@@ -254,6 +254,11 @@ class TestRigidityProbe:
         with pytest.raises(ValueError):
             rigidity_probe(1.0, GridFn.constant(g, 1.0), (0.6, 1.0))
 
+    def test_negative_degree_rejected(self):
+        g = Grid(0.0, 0.5, 16)
+        with pytest.raises(ValueError, match="fit_degree"):
+            rigidity_probe(0.5, GridFn.constant(g, 1.0), (0.6, 1.0), fit_degree=-1)
+
 
 class TestMoments:
     def test_constant_first_moment(self):
@@ -269,6 +274,10 @@ class TestMoments:
         g = Grid(0.0, 1.0, 512)
         m = moments(GridFn(g, g.nodes()), 0)
         assert math.isclose(m[0], 0.5, abs_tol=2e-3)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="max_k"):
+            moments(GridFn.constant(Grid(0.0, 0.5, 16), 1.0), -1)
 
 
 def random_candidate(kind, rng):

@@ -140,6 +140,9 @@ class TestNormalCone:
         assert not in_normal_cone(UNIT_BALL, [1.0, 0.0], [1.0, 1.0])
         assert in_normal_cone(UNIT_BALL, [0.0, 0.0], [0.0, 0.0])
 
+    def test_radius_zero_ball_takes_every_direction(self):
+        assert in_normal_cone(Ball((1.0, 2.0), 0.0), [1.0, 2.0], [5.0, -3.0])
+
     def test_point_must_be_in_set(self):
         with pytest.raises(ValueError):
             in_normal_cone(UNIT_BOX, [2.0, 2.0], [1.0, 0.0])
@@ -170,6 +173,10 @@ class TestNormalConeBasis:
         b = normal_cone_basis(UNIT_BALL, np.array([0.0, 1.0]))
         assert b.shape == (2, 1)
         assert np.allclose(b[:, 0], [0.0, 1.0])
+
+    def test_radius_zero_ball_full(self):
+        b = normal_cone_basis(Ball((1.0, 2.0), 0.0), np.array([1.0, 2.0]))
+        assert np.array_equal(b, np.eye(2))
 
     def test_product_block_lift(self):
         s = Product((Singleton((0.0,)), WholeSpace(1)))

@@ -148,6 +148,39 @@ class TestDifferentiate:
         d = differentiate(parse("x1/u1", 1), "u1")
         assert evaluate(d, {"x1": 6.0, "u1": 2.0}) == -1.5
 
+    # d/dx1 of each source, as a tree with the bits of every constant; the
+    # comment names the folding rule that decides the result
+    @pytest.mark.parametrize("source, folded", [
+        ("x1 + 2*x1", "0x1.8000000000000p+1"),  # constants combine under +: 1 + 2
+        ("t + -t", "0x0.0p+0"),  # and before 0 + b = b: 0.0 + -0.0 is +0.0
+        ("t - t", "0x0.0p+0"),  # constants combine under - before 0 - b = -b
+        ("t + sin(x1)", ("cos", "x1")),  # 0 + b = b
+        ("sin(x1) + t", ("cos", "x1")),  # a + 0 = a
+        ("sin(x1) - t", ("cos", "x1")),  # a - 0 = a
+        ("t - sin(x1)", ("neg", ("cos", "x1"))),  # 0 - b = -b
+        ("x1 * u1", "u1"),  # 1 * b = b and a * 0 = 0
+        ("u1 * x1", "u1"),  # 0 * b = 0 and a * 1 = a
+        ("t * 1e400", "nan"),  # constants combine under * before 0 * b = 0: 0 * inf
+        ("(1e400)^3", "nan"),  # constants combine under ^: 3 * inf^2, times 0
+        ("x1 / 2", ("/", "0x1.0000000000000p+0", "0x1.0000000000000p+1")),  # 1/2 stays
+        ("t / x1", ("neg", ("/", "t", ("*", "x1", "x1")))),  # 0 / b = 0
+        ("sin(x1) / 1", ("cos", "x1")),  # a / 1 = a
+        ("(-t)/1", "0x0.0p+0"),  # 0 / b = +0.0 before a / 1 = a: -0.0/1 is +0.0
+        ("x1^2", ("*", "0x1.0000000000000p+1", "x1")),  # a ^ 1 = a
+        ("x1^1", "0x1.0000000000000p+0"),  # a ^ 0 = 1
+    ])
+    def test_folding_rules(self, source, folded):
+        def shape(e):
+            if isinstance(e, Const):
+                return float.hex(e.value)
+            if isinstance(e, Var):
+                return e.name
+            if isinstance(e, (Neg, Call)):
+                return ("neg" if isinstance(e, Neg) else e.fn, shape(e.arg))
+            return (e.op, shape(e.left), shape(e.right))
+
+        assert shape(differentiate(parse(source, 1), "x1")) == folded
+
 
 def _random_expr(rng, depth=3):
     if depth == 0 or rng.random() < 0.3:

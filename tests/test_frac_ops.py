@@ -55,6 +55,10 @@ class TestGrid:
         with pytest.raises(GridMismatchError):
             g.node_index(0.35)
 
+    def test_gridfn_row_count_checked(self):
+        with pytest.raises(GridMismatchError, match="expected 11 rows, got 10"):
+            GridFn(Grid(0.0, 1.0, 10), np.zeros(10))
+
 
 class TestWeights:
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
@@ -71,6 +75,11 @@ class TestWeights:
         w = FracWeights.build(alpha, h, k).weights
         expected = (k * h) ** alpha / math.gamma(alpha + 1.0)
         assert math.isclose(float(w.sum()), expected, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    def test_non_positive_order_rejected(self, alpha):
+        with pytest.raises(FracDomainError, match="need alpha > 0"):
+            FracWeights.build(alpha, 0.01, 50)
 
     def test_gamma_spot_values(self):
         assert math.isclose(math.gamma(0.5), SQRT_PI, rel_tol=1e-12)
@@ -138,6 +147,10 @@ class TestRightIntegral:
     def test_zero_at_right_endpoint_bitwise(self):
         assert rl_integral_right(ones(), 0.5).values[-1, 0] == 0.0
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(FracDomainError, match="need alpha >= 0"):
+            rl_integral_right(ones(), -0.1)
+
     def test_half_order_at_left(self):
         out = rl_integral_right(ones(), 0.5)
         assert math.isclose(out.values[0, 0], 2 / SQRT_PI, rel_tol=1e-12)
@@ -167,6 +180,11 @@ class TestRightIntegralAt:
         w = GridFn.constant(Grid(0.0, 1.0, 32), 0.0)
         for t in (0.0, 0.5, 1.0):
             assert rl_integral_right_at(w, 0.3, t)[0] == 0.0
+
+    @pytest.mark.parametrize("order", [0.0, 1.0])
+    def test_order_outside_open_unit_interval_rejected(self, order):
+        with pytest.raises(FracDomainError, match="need order in"):
+            rl_integral_right_at(ones(), order, 0.5)
 
     def test_matches_grid_version(self):
         g = Grid(0.0, 1.0, 128)
@@ -240,6 +258,11 @@ class TestReconstruct:
         with pytest.raises(GridMismatchError):
             reconstruct_trajectory(GridFn.constant(g, 1.0), np.zeros(2), 0.5)
 
+    def test_order_above_one_rejected(self):
+        g = Grid(0.0, 1.0, 16)
+        with pytest.raises(FracDomainError, match="need alpha in"):
+            reconstruct_trajectory(GridFn.constant(g, 1.0), np.zeros(1), 1.5)
+
 
 class TestWindowVariation:
     def test_classical_value(self):
@@ -275,6 +298,10 @@ class TestWindowVariation:
         g = Grid(0.0, 1.0, 16)
         with pytest.raises(ValueError):
             window_variation(g, 0.5, 0.9, 0.25, np.ones(1))
+
+    def test_order_zero_rejected(self):
+        with pytest.raises(FracDomainError, match="need alpha in"):
+            window_variation(Grid(0.0, 1.0, 16), 0.0, 0.25, 0.25, np.ones(1))
 
 
 class TestKernelInequality:

@@ -226,6 +226,15 @@ class TestNeedleApply:
         with pytest.raises(ValueError):
             needle_apply(u, NeedleParams(0.03, 0.25, np.array([1.0])))
 
+    def test_zero_width_rejected(self):
+        with pytest.raises(ValueError, match="positive width"):
+            NeedleParams(0.5, 0.0, np.array([1.0]))
+
+    def test_value_dimension_mismatch_rejected(self):
+        u = GridFn.constant(Grid(0.0, 1.0, 16), 0.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            needle_apply(u, NeedleParams(0.25, 0.25, np.array([1.0, 2.0])))
+
 
 class TestNeedleSensitivity:
     def test_classic_value(self):
@@ -289,6 +298,14 @@ class TestNeedleBounds:
         p = NeedleParams(0.5, 0.25, np.array([0.0]))
         with pytest.raises(ValueError):
             needle_bounds_check(spec, traj, p, radius=1.0)
+
+    def test_uniform_bound_fails_for_a_narrower_declared_window(self):
+        # tau + h lies within node_index's tolerance of the node 0.5, so the needle
+        # covers [0.25, 0.5) while the bound is taken for a width 5e-10 shorter
+        spec = classic_spec()
+        traj = constant_traj(spec.grid, -1000.0, 0.0)
+        p = NeedleParams(0.25, 0.25 - 5e-10, np.array([1000.0]))
+        assert not needle_bounds_check(spec, traj, p, radius=1000.0)
 
     def test_random_needles(self, rng):
         spec = classic_spec(n_cells=64, alpha=0.7)

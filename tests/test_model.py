@@ -50,6 +50,10 @@ class TestSets:
         with pytest.raises(ValueError):
             make()
 
+    def test_box_bounds_of_unequal_length(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Box((0.0, 0.0), (1.0,))
+
     def test_box_infinite_bounds(self):
         b = Box((-np.inf,), (np.inf,))
         assert b.dim == 1
@@ -83,6 +87,10 @@ class TestValidate:
         bad = dataclasses.replace(spec, alpha=1.5)
         issues = validate(bad)
         assert any("alpha" in s for s in issues)
+
+    def test_dim_zero(self):
+        bad = dataclasses.replace(classic_spec(), dim=0)
+        assert "dim: must be a positive integer: 0" in validate(bad)
 
     def test_beta_nonpositive(self):
         import dataclasses
