@@ -6,63 +6,13 @@ and the necessary optimality conditions (Euler-Lagrange, transversality,
 Legendre) are exposed as computable residuals.
 """
 
-from .conditions import (
-    RegularityError,
-    ResidualReport,
-    build_report,
-    el_residual,
-    extract_multiplier,
-    legendre_check,
-    moments,
-    rigidity_probe,
-    transversality_residuals,
-)
-from .convex import dist, dist_sq_gradient, in_normal_cone, normal_cone_basis, project
-from .expr import EvalError, ParseError, differentiate, evaluate, parse, to_string
-from .frac_ops import (
-    FracDomainError,
-    FracWeights,
-    Grid,
-    GridFn,
-    GridMismatchError,
-    caputo_derivative_left,
-    reconstruct_trajectory,
-    rl_integral_left,
-    rl_integral_right,
-    rl_integral_right_at,
-    window_variation,
-)
-from .functional import (
-    NeedleParams,
-    bolza_eval,
-    gateaux_first,
-    gateaux_second,
-    needle_apply,
-    needle_bounds_check,
-    needle_sensitivity,
-    penalized_value,
-    y_sensitivity,
-)
-from .model import (
-    Ball,
-    Box,
-    ConvexSet,
-    ProblemSpec,
-    Product,
-    Singleton,
-    TrajectoryPair,
-    WholeSpace,
-    standard_constraint,
-    validate,
-)
-from .solver import (
-    SolverConfig,
-    SolveResult,
-    SolverError,
-    default_initial,
-    nonexistence_diagnostic,
-    objective_gradient,
-    solve,
-)
+# the public API is each module's __all__, republished here
+from .conditions import *  # noqa: F401,F403
+from .convex import *  # noqa: F401,F403
+from .expr import *  # noqa: F401,F403
+from .frac_ops import *  # noqa: F401,F403
+from .functional import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -181,9 +181,10 @@ def load_trajectory(path: str, spec: ProblemSpec) -> TrajectoryPair:
     rows = []
     for line in lines:
         if line.startswith("#"):
-            if "y =" in line:
+            key, eq, value = line[1:].partition("=")
+            if eq and key.strip() == "y":
                 try:
-                    y = [float(v) for v in line.split("=", 1)[1].split(",")]
+                    y = [float(v) for v in value.split(",")]
                 except ValueError as exc:
                     raise InputError(f"{path}: bad '# y = ...' line: {exc}") from exc
             continue

@@ -10,7 +10,7 @@ present) and the weighted Legendre condition.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -43,7 +43,7 @@ class RegularityError(ValueError):
     traj = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ResidualReport:
     """All necessary-condition residuals of one candidate trajectory."""
 
@@ -53,22 +53,19 @@ class ResidualReport:
     transversality_b: float
     legendre_min_eig_profile: np.ndarray
     legendre_ok: bool
-    adjoint_p: GridFn
     psi: Optional[np.ndarray] = None
     psi_in_cone: Optional[bool] = None
+    adjoint_p: GridFn
 
     def to_dict(self) -> dict:
-        return {
-            "el_residual_sup": self.el_residual_sup,
-            "el_residual_profile": self.el_residual_profile.values.tolist(),
-            "transversality_a": self.transversality_a,
-            "transversality_b": self.transversality_b,
-            "legendre_min_eig_profile": self.legendre_min_eig_profile.tolist(),
-            "legendre_ok": self.legendre_ok,
-            "psi": None if self.psi is None else self.psi.tolist(),
-            "psi_in_cone": self.psi_in_cone,
-            "adjoint_p": self.adjoint_p.values.tolist(),
-        }
+        """Every field in declaration order, arrays and grid functions as nested lists."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, GridFn):
+                value = value.values
+            out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -94,7 +94,7 @@ def in_normal_cone(s: ConvexSet, z, d, tol: float = DEFAULT_CONE_TOL) -> bool:
     raise TypeError(f"unsupported set {type(s).__name__}")
 
 
-def normal_cone_basis(s: ConvexSet, z, tol: float = DEFAULT_CONE_TOL) -> np.ndarray:
+def normal_cone_basis(s: ConvexSet, z) -> np.ndarray:
     """Orthonormal basis of the smallest linear subspace containing N_s[z].
 
     Returned as a (dim, k) matrix; k = 0 means the cone is trivially {0}.
@@ -106,22 +106,23 @@ def normal_cone_basis(s: ConvexSet, z, tol: float = DEFAULT_CONE_TOL) -> np.ndar
     if isinstance(s, Singleton):
         return np.eye(s.dim)
     if isinstance(s, Box):
-        active = (z <= np.array(s.lower) + tol) | (z >= np.array(s.upper) - tol)
+        lower, upper = np.array(s.lower), np.array(s.upper)
+        active = (z <= lower + DEFAULT_CONE_TOL) | (z >= upper - DEFAULT_CONE_TOL)
         return np.eye(s.dim)[:, active]
     if isinstance(s, Ball):
         center = np.array(s.center)
         gap = z - center
         norm = float(np.linalg.norm(gap))
-        if s.radius <= tol:
+        if s.radius <= DEFAULT_CONE_TOL:
             return np.eye(s.dim)
-        if norm < s.radius - tol:
+        if norm < s.radius - DEFAULT_CONE_TOL:
             return np.zeros((s.dim, 0))
         return (gap / norm)[:, None]
     if isinstance(s, Product):
         # pad each factor's basis with zero rows: a lifting matmul could turn 0.0 into -0.0
         blocks = []
         for f, zf, rows in _blocks(s, z, np.arange(s.dim)):
-            sub = normal_cone_basis(f, zf, tol)
+            sub = normal_cone_basis(f, zf)
             blocks.append(np.zeros((s.dim, sub.shape[1])))
             blocks[-1][rows] = sub
         return np.hstack(blocks)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass
 
@@ -19,36 +18,26 @@ import numpy as np
 
 __all__ = [
     "Expr", "parse", "differentiate", "evaluate", "compile_group", "free_variables",
-    "ParseError", "EvalError",
+    "to_string", "ParseError", "EvalError",
 ]
 
-_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "cosh": np.cosh,
-    "sinh": np.sinh,
-    "abs": np.abs,
+# each function's numpy ufunc and its derivative at its argument, for the chain rule
+_TABLE = {
+    "sin": (np.sin, lambda e: Call("cos", e.arg)),
+    "cos": (np.cos, lambda e: _neg(Call("sin", e.arg))),
+    "exp": (np.exp, lambda e: e),
+    "log": (np.log, lambda e: _bin("/", _const(1.0), e.arg)),
+    "sqrt": (np.sqrt, lambda e: _bin("/", _const(0.5), e)),
+    "cosh": (np.cosh, lambda e: Call("sinh", e.arg)),
+    "sinh": (np.sinh, lambda e: Call("cosh", e.arg)),
+    "abs": (np.abs, lambda e: Call("sign", e.arg)),
     # internal: produced by differentiating abs; evaluates to 0 at the kink
-    "sign": np.sign,
+    "sign": (np.sign, lambda e: _const(0.0)),  # zero almost everywhere
 }
+_FUNCS = {name: fn for name, (fn, _) in _TABLE.items()}
 
-# the derivative of each function at its argument, for the chain rule
-_OUTER = {
-    "sin": lambda e: Call("cos", e.arg),
-    "cos": lambda e: _neg(Call("sin", e.arg)),
-    "exp": lambda e: e,
-    "log": lambda e: _bin("/", _const(1.0), e.arg),
-    "sqrt": lambda e: _bin("/", _const(0.5), e),
-    "cosh": lambda e: Call("sinh", e.arg),
-    "sinh": lambda e: Call("cosh", e.arg),
-    "abs": lambda e: Call("sign", e.arg),
-    "sign": lambda e: _const(0.0),  # zero almost everywhere
-}
-
-_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": operator.pow}
+# the ufuncs evaluation runs, so a folded constant is what evaluation would give
+_FOLD = {"+": np.add, "-": np.subtract, "*": np.multiply, "^": np.power}
 
 _VAR_RE = re.compile(r"(x|u|xa|xb)([0-9]*)$")
 
@@ -113,7 +102,8 @@ def _bin(op: str, a: Expr, b: Expr) -> Expr:
 
     - ``0 / b = +0.0``, then ``a / 1 = a``: -0.0/1 gives +0.0.
     - ``a ^ 1 = a`` and ``a ^ 0 = 1``.
-    - Two constants combine under + - * ^ (0*inf gives nan), but not under /: 1/2 stays.
+    - Two constants combine under + - * ^ as evaluation would (0*inf gives nan,
+      0^-1 gives inf), but not under /: 1/2 stays.
     - ``0 + b = b``, ``a + 0 = a``, ``a - 0 = a`` and ``0 - b = -b``.
     - ``0 * b = a * 0 = 0``, ``1 * b = b`` and ``a * 1 = a``.
     """
@@ -126,7 +116,8 @@ def _bin(op: str, a: Expr, b: Expr) -> Expr:
     if op == "^" and right == 0.0:
         return _const(1.0)
     if op != "/" and left is not None and right is not None:
-        return _const(_FOLD[op](left, right))
+        with np.errstate(all="ignore"):  # an inf or nan is reported when the tree is evaluated
+            return _const(_FOLD[op](left, right))
     if op == "*" and (left == 0.0 or right == 0.0):
         return _const(0.0)
     if (op in "+-" and right == 0.0) or (op == "*" and right == 1.0):
@@ -362,7 +353,7 @@ def differentiate(e: Expr, var: str) -> Expr:
     if isinstance(e, Neg):
         return _neg(differentiate(e.arg, var))
     if isinstance(e, Call):
-        return _bin("*", _OUTER[e.fn](e), differentiate(e.arg, var))
+        return _bin("*", _TABLE[e.fn][1](e), differentiate(e.arg, var))
     da = differentiate(e.left, var)
     db = differentiate(e.right, var)
     a, b = e.left, e.right

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "FracDomainError",
+    "GridMismatchError",
     "Grid",
     "GridFn",
     "FracWeights",
@@ -74,7 +76,8 @@ class Grid:
 
     def node_index(self, t: float) -> int:
         """Index of the node equal to t to a relative 1e-9; raises if t is not a node."""
-        k = round((t - self.a) / self.h)
+        q = (t - self.a) / self.h
+        k = round(q) if math.isfinite(q) else -1  # a non-finite t is no node
         if k < 0 or k > self.n_cells or abs(self.a + k * self.h - t) > 1e-9 * max(1.0, abs(t)):
             raise GridMismatchError(f"t={t} is not a grid node")
         return int(k)

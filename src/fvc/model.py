@@ -203,6 +203,13 @@ _PARTS = {
 }
 
 
+def _variable_names(dim: int) -> tuple:
+    """Running names (t, x1..xn, u1..un) and endpoint names (xa1..xan, xb1..xbn)."""
+    n = range(1, dim + 1)
+    running = ("t", *(f"x{i}" for i in n), *(f"u{i}" for i in n))
+    return running, (*(f"xa{i}" for i in n), *(f"xb{i}" for i in n))
+
+
 class _Plan:
     """How one problem is evaluated: grid weights and compiled expression groups.
 
@@ -211,11 +218,9 @@ class _Plan:
     """
 
     def __init__(self, spec: ProblemSpec):
-        n = range(1, spec.dim + 1)
         self.spec = spec
         self.nodes = spec.grid.nodes()
-        self._running = ("t", *(f"x{i}" for i in n), *(f"u{i}" for i in n))
-        self._endpoint = (*(f"xa{i}" for i in n), *(f"xb{i}" for i in n))
+        self._running, self._endpoint = _variable_names(spec.dim)
         self._groups = {}
         self._node_weights = {}
 
@@ -334,8 +339,7 @@ def validate(spec: ProblemSpec) -> list:
         issues.append(f"beta: must be positive: {spec.beta}")
     if spec.dim < 1:
         issues.append(f"dim: must be a positive integer: {spec.dim}")
-    endpoint_vars = {f"{stem}{i + 1}" for stem in ("xa", "xb") for i in range(spec.dim)}
-    lag_vars = {"t"} | {f"{stem}{i + 1}" for stem in ("x", "u") for i in range(spec.dim)}
+    lag_vars, endpoint_vars = map(set, _variable_names(spec.dim))
     bad = free_variables(spec.phi) - endpoint_vars
     if bad:
         issues.append(f"phi: uses non-endpoint variables {sorted(bad)}")
@@ -378,10 +382,7 @@ def standard_constraint(kind: str, n: int, x_a=None, x_b=None):
 
     kind is one of 'free', 'fixed_initial', 'fixed_both', 'periodic'.
     """
-    identity = tuple(
-        parse(name, n)
-        for name in [f"xa{i + 1}" for i in range(n)] + [f"xb{i + 1}" for i in range(n)]
-    )
+    identity = tuple(parse(name, n) for name in _variable_names(n)[1])
     if kind == "free":
         return identity, WholeSpace(2 * n)
     if kind == "fixed_initial":

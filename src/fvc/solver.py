@@ -80,15 +80,15 @@ class SolverConfig:
     memory: int = 10
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
         eps = tuple(float(e) for e in self.epsilon_schedule)
-        if not eps or any(e <= 0 for e in eps) or any(
-            b >= a for a, b in zip(eps, eps[1:])
+        if not eps or not all(e > 0 for e in eps) or not all(
+            b < a for a, b in zip(eps, eps[1:])
         ):
             raise ValueError("epsilon schedule must be strictly decreasing and positive")
         rho = tuple(float(r) for r in self.penalty_weights)
-        if len(rho) != len(eps) or any(r <= 0 for r in rho):
+        if len(rho) != len(eps) or not all(r > 0 for r in rho):
             raise ValueError("penalty weights must be positive, one per epsilon")
         if not (0 < self.shrink < 1 and 0 < self.sufficient_decrease < 1):
             raise ValueError("shrink and sufficient_decrease must be in (0, 1)")

@@ -199,6 +199,19 @@ class TestSolveCommand:
         assert main(["solve", path]) == 1
         assert capsys.readouterr().err.startswith("error: non-finite value")
 
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    @pytest.mark.parametrize("power", ["0^0.5", "(1e-200)^(-1.5)", "(-8)^0.5"])
+    def test_constant_power_with_non_finite_derivative_reported(
+        self, problem_file, tmp_path, capsys, command, power
+    ):
+        # differentiating x1*c^p folds c^(p - 1): 0^-0.5, (1e-200)^-2.5 and (-8)^-0.5
+        path = problem_file(lagrangian=f"0.5*(x1^2 + u1^2) + x1*{power}")
+        traj_path = str(tmp_path / "zero.csv")
+        grid = Grid(0.0, 1.0, CLASSIC["grid"]["n_cells"])
+        write_trajectory(traj_path, TrajectoryPair(GridFn.constant(grid, 0.0), np.zeros(1)))
+        assert main([command, path] + ([traj_path] if command == "check" else [])) == 1
+        assert capsys.readouterr().err.startswith("error: non-finite value")
+
     @pytest.mark.parametrize("constraint, target", [
         # x(b) in [0.5, 1.5]; phi = x(b) pushes it down onto 0.5
         ({"g": ["xb1"], "set": {"type": "ball", "center": [1.0], "radius": 0.5}}, "ball"),
@@ -412,6 +425,13 @@ class TestTrajectoryCSV:
         expected = load_trajectory(plain, spec_3d)
         assert edited.u.values.tobytes() == expected.u.values.tobytes()
         assert edited.y.tobytes() == expected.y.tobytes()
+
+    @pytest.mark.parametrize("comment", ["# energy = 0.5", "# accuracy = high"])
+    def test_only_the_y_key_sets_the_initial_value(self, problem_file, tmp_path, comment):
+        spec = load_problem(problem_file())
+        rows = [f"{float(t)!r},0.0" for t in spec.grid.nodes()]
+        path = self.write_lines(tmp_path, ["# y = -0.25", "t,u_1", *rows[:5], comment, *rows[5:]])
+        assert load_trajectory(path, spec).y.tolist() == [-0.25]
 
     @pytest.mark.parametrize("y_line, row", [
         ("# y = abc", None), ("# y =", None), ("# y = 1,,2", None),

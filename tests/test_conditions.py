@@ -293,7 +293,20 @@ def random_candidate(kind, rng):
     return spec, traj
 
 
+REPORT_KEYS = [
+    "el_residual_sup", "el_residual_profile", "transversality_a", "transversality_b",
+    "legendre_min_eig_profile", "legendre_ok", "psi", "psi_in_cone", "adjoint_p",
+]
+
+
 class TestReport:
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_dict_keys_in_field_order(self, constrained):
+        spec = constrained_quadratic() if constrained else classic_spec()
+        report = build_report(spec, zero_trajectory(spec.grid))
+        assert list(report.to_dict()) == REPORT_KEYS
+        assert list(json.loads(report.to_json())) == REPORT_KEYS
+
     def test_json_round_trip(self):
         spec = classic_spec()
         report = build_report(spec, zero_trajectory(spec.grid))

@@ -55,6 +55,11 @@ class TestGrid:
         with pytest.raises(GridMismatchError):
             g.node_index(0.35)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_node_index_non_finite(self, t):
+        with pytest.raises(GridMismatchError, match="is not a grid node"):
+            Grid(0.0, 1.0, 10).node_index(t)
+
     def test_gridfn_row_count_checked(self):
         with pytest.raises(GridMismatchError, match="expected 11 rows, got 10"):
             GridFn(Grid(0.0, 1.0, 10), np.zeros(10))

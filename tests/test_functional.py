@@ -6,6 +6,7 @@ import pytest
 from fvc import (
     Grid,
     GridFn,
+    GridMismatchError,
     NeedleParams,
     ProblemSpec,
     TrajectoryPair,
@@ -225,6 +226,12 @@ class TestNeedleApply:
         u = GridFn.constant(g, 0.0)
         with pytest.raises(ValueError):
             needle_apply(u, NeedleParams(0.03, 0.25, np.array([1.0])))
+
+    @pytest.mark.parametrize("tau, h", [(0.25, math.inf), (math.inf, 0.25), (math.nan, 0.25)])
+    def test_non_finite_window_rejected(self, tau, h):
+        u = GridFn.constant(Grid(0.0, 1.0, 16), 0.0)
+        with pytest.raises(GridMismatchError, match="is not a grid node"):
+            needle_apply(u, NeedleParams(tau, h, np.array([1.0])))
 
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError, match="positive width"):

@@ -127,3 +127,16 @@ def test_exported_names_resolve():
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
     assert fvc.solver.objective_gradient is fvc.functional.objective_gradient
+
+
+def test_package_republishes_every_module_all():
+    # fvc's public names are its modules' __all__; the CLI stays out of `import fvc`
+    names = []
+    for info in pkgutil.iter_modules(fvc.__path__):
+        if info.name == "cli":
+            continue
+        module = importlib.import_module(f"fvc.{info.name}")
+        for name in module.__all__:
+            assert getattr(fvc, name, None) is getattr(module, name), f"fvc.{name}"
+        names += module.__all__
+    assert len(names) == len(set(names))  # no star import shadows another

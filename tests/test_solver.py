@@ -737,6 +737,19 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(epsilon_schedule=(1e-3, 1e-4), penalty_weights=(1e3,))
 
+    @pytest.mark.parametrize("overrides", [
+        {"radius": math.nan},
+        {"epsilon_schedule": (math.nan,), "penalty_weights": (1e3,)},
+        {"epsilon_schedule": (1e-3, math.nan), "penalty_weights": (1e3, 1e4)},
+        {"epsilon_schedule": (1e-3,), "penalty_weights": (math.nan,)},
+    ])
+    def test_nan_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            SolverConfig(**overrides)
+
+    def test_infinite_radius_means_no_bound(self):
+        assert SolverConfig(radius=math.inf).radius == math.inf
+
     def test_shrink_in_unit_interval(self):
         with pytest.raises(ValueError):
             SolverConfig(shrink=1.0)
