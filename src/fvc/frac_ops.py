@@ -8,11 +8,12 @@ of the kernel.
 
 The product-integration sums are discrete Volterra convolutions. They are
 evaluated by FFT in O(n log n), with the kernel weights and their spectrum
-cached per (order, grid). The FFT runs in a per-thread workspace: a complex
-spectrum buffer and a real output buffer for the current (FFT length, column
-count), replaced when that key changes. The view into it that a convolution
-returns never leaves this module: _left_sums, the one kernel behind both
-integrals, the states x = y + I^alpha[u] and the gradient, copies it out.
+cached per (order, grid); sums of all-zero cells are zeros, with no FFT. The
+FFT runs in a per-thread workspace: a complex spectrum buffer and a real
+output buffer for the current (FFT length, column count), replaced when that
+key changes. The view into it that a convolution returns never leaves this
+module: _left_sums, the one kernel behind both integrals, the states
+x = y + I^alpha[u] and the gradient, copies it out.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class FracWeights:
 
     @classmethod
     def build(cls, alpha: float, h: float, n_cells: int) -> "FracWeights":
-        if alpha <= 0:
+        if not alpha > 0:
             raise FracDomainError(f"need alpha > 0, got {alpha}")
         return cls(alpha, h, _kernel(alpha, h, n_cells)[0])
 
@@ -167,7 +168,7 @@ def beta_cell_weights(grid: Grid, beta: float) -> np.ndarray:
 
     Cached per (grid, beta); the returned array is read-only.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError(f"need beta > 0, got {beta}")
     gaps = grid.b - grid.nodes()
     w = _cell_moments(gaps[:-1], gaps[1:], beta)
@@ -206,6 +207,8 @@ def _volterra(cells: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
 def _left_sums(cells: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
     """out[k] = sum_{i<k} cells[i] * w[k-1-i] for k = 0..len(cells) (out[0] = 0),
     w the order-alpha weights of grid, in a fresh array of len(cells) + 1 rows."""
+    if not cells.any():  # zeros need no FFT; a NaN cell is nonzero and takes it
+        return np.zeros((cells.shape[0] + 1, cells.shape[1]))
     return np.concatenate((np.zeros((1, cells.shape[1])), _volterra(cells, alpha, grid)))
 
 
@@ -216,7 +219,7 @@ def rl_integral_left(u: GridFn, alpha: float) -> GridFn:
     integrated exactly per cell. Value at t=a is 0 for alpha > 0; alpha = 0
     is the identity.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise FracDomainError(f"need alpha >= 0, got {alpha}")
     if alpha == 0:
         return u
@@ -229,7 +232,7 @@ def rl_integral_right(u: GridFn, alpha: float) -> GridFn:
     Mirror of :func:`rl_integral_left` with kernel (s-t)^(alpha-1)/Gamma(alpha);
     the value at t=b is exactly 0 for alpha > 0.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise FracDomainError(f"need alpha >= 0, got {alpha}")
     if alpha == 0:
         return u

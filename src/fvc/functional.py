@@ -44,7 +44,7 @@ class NeedleParams:
         v = np.atleast_1d(np.asarray(self.v, dtype=float))
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
-        if self.h <= 0:
+        if not self.h > 0:
             raise ValueError("needle window must have positive width")
 
 
@@ -233,6 +233,8 @@ def needle_bounds_check(
     spec: ProblemSpec, traj: TrajectoryPair, p: NeedleParams, radius: float
 ) -> bool:
     """Verify the uniform and pointwise trajectory-deviation bounds of a needle."""
+    if not radius >= 0:
+        raise ValueError(f"need radius >= 0, got {radius}")
     slack = 1e-9  # absolute, in every bound test
     if traj.u.sup_norm() > radius + slack or float(np.max(np.abs(p.v))) > radius + slack:
         raise ValueError("control or needle value exceeds the radius bound")
@@ -269,7 +271,7 @@ def penalized_value(
     spec: ProblemSpec, traj: TrajectoryPair, ref_value: float, epsilon: float
 ) -> float:
     """Ekeland-style penalty: sqrt(((cost - ref + eps)^+)^2 + dist^2 to the target)."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     x, u = traj.state(spec.alpha).values, traj.u.values
     if spec.constraint_map is None or isinstance(spec.target_set, WholeSpace):

@@ -14,6 +14,7 @@ from fvc import (
     in_normal_cone,
     normal_cone_basis,
     project,
+    standard_constraint,
 )
 
 UNIT_BOX = Box((0.0, 0.0), (1.0, 1.0))
@@ -139,6 +140,39 @@ class TestNormalCone:
         assert not in_normal_cone(UNIT_BALL, [1.0, 0.0], [-1.0, 0.0])
         assert not in_normal_cone(UNIT_BALL, [1.0, 0.0], [1.0, 1.0])
         assert in_normal_cone(UNIT_BALL, [0.0, 0.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("d, want", [([5.0, 5e-9], True), ([-8e-10, 8e-10], False)])
+    def test_ball_holds_the_projection_move_to_tol(self, d, want):
+        # d lies in the cone when P(z + d) moves z by at most tol, whatever
+        # the sizes of d's tangential and inward parts on their own
+        assert in_normal_cone(UNIT_BALL, [1.0, 0.0], d) is want
+
+    @pytest.mark.parametrize("kind", ["free", "fixed_initial", "fixed_both", "periodic"])
+    def test_standard_targets_match_closed_form(self, kind, rng):
+        tol = 1e-9
+        target = standard_constraint(kind, 2, [0.5, -1.0], [1.0, 2.0])[1]
+
+        def draw(s):
+            # a random direction, of length near tol or far above it
+            if isinstance(s, Product):
+                return np.concatenate([draw(f) for f in s.factors])
+            d = rng.normal(size=s.dim)
+            return d * tol * rng.choice([rng.uniform(0.5, 1.5), 1e3]) / np.linalg.norm(d)
+
+        def closed_form(s, d):
+            if isinstance(s, Product):
+                cuts = np.cumsum([f.dim for f in s.factors])[:-1]
+                return all(map(closed_form, s.factors, np.split(d, cuts)))
+            return isinstance(s, Singleton) or np.linalg.norm(d) <= tol
+
+        verdicts = set()
+        for _ in range(400):
+            z = _sample_inside(target, rng) + rng.normal(size=target.dim) * 0.1 * tol
+            d = draw(target)
+            want = closed_form(target, d)
+            assert in_normal_cone(target, z, d, tol) == want
+            verdicts.add(want)
+        assert verdicts == ({True} if kind in ("fixed_both", "periodic") else {True, False})
 
     def test_radius_zero_ball_takes_every_direction(self):
         assert in_normal_cone(Ball((1.0, 2.0), 0.0), [1.0, 2.0], [5.0, -3.0])

@@ -21,7 +21,8 @@ from fvc import (
     rl_integral_right_at,
     window_variation,
 )
-from fvc.frac_ops import _kernel, _volterra
+from fvc import frac_ops
+from fvc.frac_ops import _kernel, _left_sums, _volterra
 from fvc.functional import _right_double_kernel_at, beta_cell_weights
 
 SQRT_PI = math.sqrt(math.pi)
@@ -81,7 +82,7 @@ class TestWeights:
         expected = (k * h) ** alpha / math.gamma(alpha + 1.0)
         assert math.isclose(float(w.sum()), expected, rel_tol=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan])
     def test_non_positive_order_rejected(self, alpha):
         with pytest.raises(FracDomainError, match="need alpha > 0"):
             FracWeights.build(alpha, 0.01, 50)
@@ -110,8 +111,9 @@ class TestLeftIntegral:
         assert rl_integral_left(u, 0.5).values[0, 0] == 0.0
 
     def test_negative_order_rejected(self):
-        with pytest.raises(FracDomainError):
-            rl_integral_left(ones(), -0.1)
+        for alpha in (-0.1, math.nan):
+            with pytest.raises(FracDomainError, match="need alpha >= 0"):
+                rl_integral_left(ones(), alpha)
 
     @pytest.mark.parametrize("p", [0, 1, 2])
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -153,8 +155,9 @@ class TestRightIntegral:
         assert rl_integral_right(ones(), 0.5).values[-1, 0] == 0.0
 
     def test_negative_order_rejected(self):
-        with pytest.raises(FracDomainError, match="need alpha >= 0"):
-            rl_integral_right(ones(), -0.1)
+        for alpha in (-0.1, math.nan):
+            with pytest.raises(FracDomainError, match="need alpha >= 0"):
+                rl_integral_right(ones(), alpha)
 
     def test_half_order_at_left(self):
         out = rl_integral_right(ones(), 0.5)
@@ -463,6 +466,21 @@ class TestVolterraWorkspace:
         for i, results in enumerate(got):
             assert len(results) == 50
             assert all(r == want[i] for r in results)
+
+
+class TestZeroCells:
+    def test_zero_cells_skip_the_fft(self, monkeypatch):
+        grid = Grid(0.0, 1.0, 64)
+        zeros = np.zeros((grid.n_cells, 2))
+        want = np.concatenate((np.zeros((1, 2)), _volterra(zeros, 0.6, grid)))
+        calls = []
+        monkeypatch.setattr(frac_ops, "_volterra", lambda *args: calls.append(args) or want[1:])
+        got = _left_sums(zeros, 0.6, grid)
+        assert calls == []
+        assert np.array_equal(got, want)
+        # a NaN cell is not zero: it takes the FFT path
+        _left_sums(np.where(np.arange(grid.n_cells)[:, None] == 3, np.nan, zeros), 0.6, grid)
+        assert len(calls) == 1
 
 
 class TestKernelCache:

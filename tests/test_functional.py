@@ -96,9 +96,9 @@ class TestBetaCellWeights:
         with pytest.raises(ValueError):
             w[0] = 1.0
 
-    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    @pytest.mark.parametrize("beta", [0.0, -0.5, math.nan])
     def test_nonpositive_order_rejected(self, beta):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need beta > 0"):
             beta_cell_weights(Grid(0.0, 1.0, 32), beta)
 
 
@@ -234,8 +234,9 @@ class TestNeedleApply:
             needle_apply(u, NeedleParams(tau, h, np.array([1.0])))
 
     def test_zero_width_rejected(self):
-        with pytest.raises(ValueError, match="positive width"):
-            NeedleParams(0.5, 0.0, np.array([1.0]))
+        for h in (0.0, math.nan):
+            with pytest.raises(ValueError, match="positive width"):
+                NeedleParams(0.5, h, np.array([1.0]))
 
     def test_value_dimension_mismatch_rejected(self):
         u = GridFn.constant(Grid(0.0, 1.0, 16), 0.0)
@@ -305,6 +306,13 @@ class TestNeedleBounds:
         p = NeedleParams(0.5, 0.25, np.array([0.0]))
         with pytest.raises(ValueError):
             needle_bounds_check(spec, traj, p, radius=1.0)
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan])
+    def test_radius_must_be_nonnegative(self, radius):
+        spec = classic_spec()
+        p = NeedleParams(0.25, 0.25, np.array([0.0]))
+        with pytest.raises(ValueError, match="need radius >= 0"):
+            needle_bounds_check(spec, zero_trajectory(spec.grid), p, radius)
 
     def test_uniform_bound_fails_for_a_narrower_declared_window(self):
         # tau + h lies within node_index's tolerance of the node 0.5, so the needle
@@ -397,5 +405,6 @@ class TestPenalizedValue:
 
     def test_epsilon_must_be_positive(self):
         spec = classic_spec()
-        with pytest.raises(ValueError):
-            penalized_value(spec, zero_trajectory(spec.grid), 0.0, 0.0)
+        for epsilon in (0.0, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                penalized_value(spec, zero_trajectory(spec.grid), 0.0, epsilon)

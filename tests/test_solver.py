@@ -556,8 +556,9 @@ class TestEvaluationCounts:
         assert counts["_cost_gradient"] == result.iterations + 1
         assert counts["transpose"] == counts["_cost_gradient"]
         # the final pair reuses the last evaluated state; the report adds its
-        # two right integrals
-        assert counts["convolutions"] == counts["forward"] + counts["transpose"] + 2 == 42
+        # two right integrals. Two inputs are all zero and skip the FFT: the
+        # start's state (u = 0) and its transposed sum (dL/dx = x = 0 there)
+        assert counts["convolutions"] == counts["forward"] + counts["transpose"] + 2 - 2 == 40
 
         counts.clear()
         fresh = TrajectoryPair(result.traj.u, result.traj.y)
