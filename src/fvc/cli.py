@@ -209,9 +209,9 @@ def load_trajectory(path: str, spec: ProblemSpec) -> TrajectoryPair:
             f"{path}: expected {shape[0]} rows of {shape[1]} columns, got {data.shape[0]}"
         )
     t = data[:, 0]
-    if np.any(np.diff(t) <= 0):
+    if not np.all(np.diff(t) > 0):
         raise InputError(f"{path}: t column must be strictly increasing")
-    if np.max(np.abs(t - spec.grid.nodes())) > 1e-9:
+    if not np.max(np.abs(t - spec.grid.nodes())) <= 1e-9:
         raise InputError(f"{path}: t column does not match the problem grid")
     try:
         return TrajectoryPair(GridFn(spec.grid, data[:, 1:]), np.array(y))

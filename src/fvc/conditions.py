@@ -124,10 +124,8 @@ def _multiplier(spec: ProblemSpec, iw: GridFn, ends: list):
     basis = normal_cone_basis(spec.target_set, g_feas)
     system = np.vstack([ga.T, -gb.T])
     rhs = np.concatenate([dphi_a - iw.values[0], -(dphi_b + iw.values[-1])])
-    psi = np.zeros(spec.n_constraints)
-    if basis.shape[1] > 0:
-        coeffs, *_ = np.linalg.lstsq(system @ basis, rhs, rcond=None)
-        psi = basis @ coeffs
+    coeffs, *_ = np.linalg.lstsq(system @ basis, rhs, rcond=None)
+    psi = basis @ coeffs
     # the cone test runs at the nearest feasible point so slightly infeasible
     # numerical candidates still get a meaningful verdict
     cone_ok = in_normal_cone(spec.target_set, g_feas, -psi, tol=1e-6)

@@ -66,7 +66,7 @@ def in_normal_cone(s: ConvexSet, z, d, tol: float = DEFAULT_CONE_TOL) -> bool:
     """
     z = _check_dim(s, z)
     d = _check_dim(s, d)
-    if dist(s, z) > tol:
+    if not dist(s, z) <= tol:
         raise ValueError("point is not in the set within tolerance")
     if isinstance(s, Product):
         return all(in_normal_cone(f, zf, df, tol) for f, zf, df in _blocks(s, z, d))

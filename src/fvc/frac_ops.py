@@ -248,6 +248,8 @@ def rl_integral_right_at(w: GridFn, order: float, t: float) -> np.ndarray:
     """
     if not (0.0 < order < 1.0):
         raise FracDomainError(f"need order in (0,1), got {order}")
+    if not math.isfinite(t):
+        raise ValueError(f"need a finite t, got {t}")
     grid = w.grid
     if t >= grid.b:
         return np.zeros(w.dim)
@@ -259,16 +261,16 @@ def caputo_derivative_left(x: GridFn, alpha: float) -> GridFn:
     """Left Caputo derivative of order alpha in (0, 1] (L1-type scheme).
 
     Forward difference quotients on cells, treated as piecewise-constant, are
-    fed through the left RL integral of order 1-alpha. For alpha = 1 the
-    difference quotients themselves are returned (last node repeats the last
-    cell value).
+    fed through the left RL integral of order 1-alpha, which for alpha = 1 is
+    the identity: the difference quotients themselves are returned (last node
+    repeats the last cell value).
     """
     if not (0.0 < alpha <= 1.0):
         raise FracDomainError(f"need alpha in (0,1], got {alpha}")
     h = x.grid.h
     diff = np.diff(x.values, axis=0) / h
     padded = x.with_values(np.vstack([diff, diff[-1:]]))  # the last node carries no cell
-    return padded if alpha == 1.0 else rl_integral_left(padded, 1.0 - alpha)
+    return rl_integral_left(padded, 1.0 - alpha)
 
 
 def reconstruct_trajectory(u: GridFn, y: np.ndarray, alpha: float) -> GridFn:

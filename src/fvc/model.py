@@ -311,7 +311,7 @@ class TrajectoryPair:
             raise ValueError(f"y has shape {y.shape}, control has dim {self.u.dim}")
         if not np.all(np.isfinite(y)):
             raise ValueError("initial value must be finite")
-        if self.radius is not None and self.u.sup_norm() > self.radius + 1e-12:
+        if self.radius is not None and not self.u.sup_norm() <= self.radius + 1e-12:
             raise ValueError("control exceeds the declared radius bound")
         y.setflags(write=False)
         object.__setattr__(self, "y", y)

@@ -404,6 +404,14 @@ class TestTrajectoryCSV:
         assert main(["check", problem_file(), path]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("t1", ["nan", "inf", "-inf"])
+    def test_non_finite_t_exit_code(self, problem_file, tmp_path, capsys, t1):
+        problem = problem_file(grid={"n_cells": 4})
+        rows = [f"{t},0.0" for t in ["0.0", t1, "0.5", "0.75", "1.0"]]
+        path = self.write_lines(tmp_path, ["# y = 0.0", "t,u_1"] + rows)
+        assert main(["check", problem, path]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: t column ")
+
     def test_bad_header(self, problem_file, tmp_path, capsys):
         spec = load_problem(problem_file())
         rows = [f"{float(t)!r},0.0" for t in spec.grid.nodes()]

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from fvc import (
+    Ball,
     Grid,
     GridFn,
     ProblemSpec,
     RegularityError,
     TrajectoryPair,
+    WholeSpace,
     build_report,
     el_residual,
     extract_multiplier,
@@ -22,6 +24,7 @@ from fvc import (
     standard_constraint,
     transversality_residuals,
 )
+from fvc.expr import EvalError
 from fvc.model import _Plan
 
 from conftest import classic_spec, oracle_trajectory, zero_trajectory
@@ -111,17 +114,35 @@ class TestTransversality:
 
 
 class TestExtractMultiplier:
-    def test_free_endpoints_forces_zero(self):
-        g, s = standard_constraint("free", 1)
-        spec = dataclasses.replace(
-            classic_spec(), constraint_map=g, target_set=s
-        )
+    @staticmethod
+    def _assert_zero_multiplier(target):
+        # the target's normal-cone basis at g = (x(a), x(b)) = 0 is empty
+        g, _ = standard_constraint("free", 1)
+        spec = dataclasses.replace(classic_spec(), constraint_map=g, target_set=target)
         psi, cone_ok, (ra, rb) = extract_multiplier(spec, zero_trajectory(spec.grid))
         assert np.array_equal(psi, np.zeros(2))
+        assert not np.signbit(psi).any()  # +0.0, no -0.0
         assert cone_ok  # psi = 0 lies in every normal cone
         assert rb == 1.0  # the residual still exposes the defect
         ura, urb = transversality_residuals(spec, zero_trajectory(spec.grid))
         assert (ra, rb) == (ura, urb)
+
+    def test_free_endpoints_forces_zero(self):
+        # the whole space
+        self._assert_zero_multiplier(standard_constraint("free", 1)[1])
+
+    def test_ball_interior_forces_zero(self):
+        # a ball with g in its interior
+        self._assert_zero_multiplier(Ball((0.0, 0.0), 1.0))
+
+    def test_non_finite_constraint_value_raises_before_the_cone_test(self):
+        # g = 1/(x(b) - x(a)) is infinite at x(a) = x(b): the endpoint call
+        # raises, so the multiplier never meets a non-finite point of the target
+        spec = dataclasses.replace(
+            classic_spec(), constraint_map=(parse("1/(xb1 - xa1)", 1),), target_set=WholeSpace(1)
+        )
+        with pytest.raises(EvalError, match=r"non-finite value while evaluating '1.0 / \(xb1 - xa1\)'"):
+            build_report(spec, zero_trajectory(spec.grid))
 
     def test_free_endpoints_cone_holds_at_stationary_point(self):
         g, s = standard_constraint("free", 1)

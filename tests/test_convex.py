@@ -181,6 +181,11 @@ class TestNormalCone:
         with pytest.raises(ValueError):
             in_normal_cone(UNIT_BOX, [2.0, 2.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("s", [Singleton((1.0,)), Box((0.0,), (1.0,)), WholeSpace(1)])
+    def test_nan_point_is_not_in_set(self, s):
+        with pytest.raises(ValueError, match="point is not in the set within tolerance"):
+            in_normal_cone(s, [np.nan], [0.0])
+
     @pytest.mark.parametrize("s", SETS)
     def test_projection_residual_in_cone(self, s, rng):
         for _ in range(200):

@@ -189,6 +189,11 @@ class TestRightIntegralAt:
         for t in (0.0, 0.5, 1.0):
             assert rl_integral_right_at(w, 0.3, t)[0] == 0.0
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, t):
+        with pytest.raises(ValueError, match="need a finite t"):
+            rl_integral_right_at(ones(), 0.5, t)
+
     @pytest.mark.parametrize("order", [0.0, 1.0])
     def test_order_outside_open_unit_interval_rejected(self, order):
         with pytest.raises(FracDomainError, match="need order in"):

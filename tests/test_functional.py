@@ -21,7 +21,7 @@ from fvc import (
     standard_constraint,
     y_sensitivity,
 )
-from fvc.functional import beta_cell_weights
+from fvc.functional import _right_double_kernel_at, beta_cell_weights
 
 from conftest import classic_spec, oracle_trajectory, zero_trajectory
 
@@ -67,6 +67,18 @@ def richardson_needle_limit(spec, traj, tau, v, base=None):
     w2 = 2.0**e2
     r2 = (w2 * r1[1:] - r1[:-1]) / (w2 - 1.0)
     return float(r2[-1])
+
+
+def verify_spec(n_cells=256):
+    """The 3-D nonlinear problem of the benchmark's verify workload (beta < 1)."""
+    lag = (
+        "0.5*(u1^2 + u2^2 + u3^2) + 0.5*(x1^2 + x2^2 + x3^2)"
+        " + 0.2*sin(x1)*u2 + 0.1*x3*u1 + 0.05*t*x2^2"
+    )
+    return ProblemSpec(
+        alpha=0.7, beta=0.8, grid=Grid(0.0, 1.0, n_cells), dim=3,
+        phi=parse("xb1 + 0.5*xb2^2 - xb3", 3), lagrangian=parse(lag, 3),
+    )
 
 
 def random_traj(rng, grid, dim=1, scale=1.0):
@@ -281,6 +293,58 @@ class TestNeedleSensitivity:
         assert math.isclose(extrapolated, predicted, abs_tol=1e-3)
 
 
+    def test_3d_integrates_the_adjoint_once(self, rng, monkeypatch):
+        import scipy.special
+
+        spec = verify_spec()
+        traj = random_traj(rng, spec.grid, dim=3, scale=0.5)
+        tau, v = spec.grid.nodes()[77], rng.normal(size=3)
+        calls = []
+        betainc = scipy.special.betainc
+
+        def counting(*args):
+            calls.append(1)
+            return betainc(*args)
+
+        monkeypatch.setattr(scipy.special, "betainc", counting)
+        value = needle_sensitivity(spec, traj, tau, v)
+        assert len(calls) == 1
+
+        # the same closed formula, assembled one state component at a time
+        plan, grid, k = spec._plan, spec.grid, 77
+        x, u = traj.state(spec.alpha).values, traj.u.values
+        u_v = u.copy()
+        u_v[k] = v
+        lag_gap = plan.running(x, u_v, "L")[0][k] - plan.running(x, u, "L")[0][k]
+        (d1,) = plan.running(x, u, "L_x")
+        (dphi_b,) = plan.endpoint(x[0], x[-1], "phi_b")
+        adjoint = np.array([
+            _right_double_kernel_at(grid, spec.alpha, spec.beta, d1[:-1, i], tau) for i in range(3)
+        ])
+        w_beta = (grid.b - tau) ** (spec.beta - 1.0) / math.gamma(spec.beta)
+        w_alpha = (grid.b - tau) ** (spec.alpha - 1.0) / math.gamma(spec.alpha)
+        expected = w_beta * lag_gap + (w_alpha * dphi_b + adjoint) @ (v - u[k])
+        assert math.isclose(value, expected, rel_tol=1e-14)
+
+
+def bounds_by_state_difference(spec, traj, p, radius):
+    """needle_bounds_check with the deviation taken as x_pert - x."""
+    grid, alpha, slack = spec.grid, spec.alpha, 1e-9
+    x_pert = TrajectoryPair(needle_apply(traj.u, p), traj.y).state(alpha).values
+    deviation = x_pert - traj.state(alpha).values
+    if np.max(np.abs(deviation)) > 2.0 * radius * p.h**alpha / math.gamma(alpha + 1.0) + slack:
+        return False
+    k0, k1 = grid.node_index(p.tau), grid.node_index(p.tau + p.h)
+    t = grid.nodes()[k1 + 1 :]
+    u_tau = traj.u.values[k0]
+    ga = math.gamma(alpha)
+    kernel = (t - p.tau) ** (alpha - 1.0)
+    lhs = np.linalg.norm(deviation[k1 + 1 :] / p.h - (kernel / ga)[:, None] * (p.v - u_tau), axis=1)
+    rhs = kernel / ga * np.linalg.norm(traj.u.values[k0:k1].mean(axis=0) - u_tau)
+    rhs += 2.0 * radius / ga * ((t - (p.tau + p.h)) ** (alpha - 1.0) - kernel)
+    return not np.any(lhs > rhs + slack)
+
+
 class TestNeedleBounds:
     def test_zero_control_full_needle(self):
         spec = classic_spec(alpha=0.6)
@@ -335,6 +399,27 @@ class TestNeedleBounds:
                 nodes[k0], nodes[k1] - nodes[k0], rng.uniform(-radius, radius, size=1)
             )
             assert needle_bounds_check(spec, traj, p, radius=radius)
+
+
+    def test_3d_matches_the_state_difference(self, rng):
+        spec = verify_spec(n_cells=64)
+        nodes, radius = spec.grid.nodes(), 1000.0
+        verdicts = []
+        for _ in range(200):
+            k0 = int(rng.integers(0, 60))
+            k1 = int(rng.integers(k0 + 1, 65))
+            sign = rng.choice([-1.0, 1.0], size=3)
+            values = rng.uniform(-radius, radius, size=(65, 3))
+            if rng.random() < 0.5:  # the extreme needle, which meets the uniform bound
+                values[k0:k1] = -radius * sign
+            traj = TrajectoryPair(GridFn(spec.grid, values), rng.normal(size=3))
+            # the window's width, or 5e-10 less: within node_index's tolerance either way
+            h = nodes[k1] - nodes[k0] - rng.choice([0.0, 5e-10])
+            p = NeedleParams(nodes[k0], h, radius * sign)
+            verdict = needle_bounds_check(spec, traj, p, radius)
+            assert verdict == bounds_by_state_difference(spec, traj, p, radius)
+            verdicts.append(verdict)
+        assert set(verdicts) == {True, False}
 
 
 class TestYSensitivity:

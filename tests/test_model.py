@@ -250,6 +250,11 @@ class TestTrajectoryPair:
             TrajectoryPair(u, np.zeros(1), radius=2.0)
         TrajectoryPair(u, np.zeros(1), radius=3.0)
 
+    def test_nan_radius_rejected(self):
+        u = GridFn.constant(Grid(0.0, 1.0, 8), 0.0)
+        with pytest.raises(ValueError, match="control exceeds the declared radius bound"):
+            TrajectoryPair(u, np.zeros(1), radius=np.nan)
+
     def test_state_starts_at_y(self):
         g = Grid(0.0, 1.0, 8)
         traj = TrajectoryPair(GridFn.constant(g, 1.0), np.array([4.0]))
