@@ -275,16 +275,11 @@ def cmd_check(args) -> int:
     spec = load_problem(args.problem, None)
     traj = load_trajectory(args.trajectory, spec)
     report = build_report(spec, traj)
-    ok = (
-        report.el_residual_sup <= args.tol
-        and report.transversality_a <= args.tol
-        and report.transversality_b <= args.tol
-        and report.legendre_ok
-        and report.psi_in_cone is not False
-    )
-    print(f"el_residual_sup {report.el_residual_sup!r}")
-    print(f"transversality_a {report.transversality_a!r}")
-    print(f"transversality_b {report.transversality_b!r}")
+    residuals = ("el_residual_sup", "transversality_a", "transversality_b")
+    for name in residuals:
+        print(f"{name} {getattr(report, name)!r}")
+    ok = all(getattr(report, name) <= args.tol for name in residuals)
+    ok = ok and report.legendre_ok and report.psi_in_cone is not False
     print(f"legendre_ok {report.legendre_ok}")
     if report.psi is not None:
         print(f"psi {report.psi.tolist()!r} in_cone {report.psi_in_cone}")
@@ -310,7 +305,7 @@ def cmd_sweep_alpha(args) -> int:
     if issues:
         raise InputError("; ".join(issues))
     config = _solver_config(args)
-    rows = []
+    lines = ["alpha,objective,grad_norm,transversality_b,nonexistence_flag"]
     for sub in subs:
         result = solve(sub, config)
         grad_u, grad_y = objective_gradient(sub, result.traj)
@@ -318,14 +313,10 @@ def cmd_sweep_alpha(args) -> int:
             np.sqrt(np.sum(grad_u.values**2) + np.sum(grad_y**2))
         )
         diag = nonexistence_diagnostic(sub, result)
-        rows.append(
-            [sub.alpha, result.objective, grad_norm, result.report.transversality_b,
-             int(bool(diag["flag"]))]
-        )
-        log.info("alpha=%g objective=%.6g flag=%s", sub.alpha, result.objective, diag["flag"])
-    lines = ["alpha,objective,grad_norm,transversality_b,nonexistence_flag"]
-    for row in rows:
+        row = [sub.alpha, result.objective, grad_norm, result.report.transversality_b,
+               int(bool(diag["flag"]))]
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        log.info("alpha=%g objective=%.6g flag=%s", sub.alpha, result.objective, diag["flag"])
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -230,7 +230,7 @@ def needle_bounds_check(
     if not radius >= 0:
         raise ValueError(f"need radius >= 0, got {radius}")
     slack = 1e-9  # absolute, in every bound test
-    if traj.u.sup_norm() > radius + slack or float(np.max(np.abs(p.v))) > radius + slack:
+    if not (traj.u.sup_norm() <= radius + slack and float(np.max(np.abs(p.v))) <= radius + slack):
         raise ValueError("control or needle value exceeds the radius bound")
     grid = spec.grid
     alpha = spec.alpha
@@ -266,6 +266,8 @@ def penalized_value(
     """Ekeland-style penalty: sqrt(((cost - ref + eps)^+)^2 + dist^2 to the target)."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if not math.isfinite(ref_value):
+        raise ValueError(f"ref_value must be finite, got {ref_value!r}")
     x, u = traj.state(spec.alpha).values, traj.u.values
     if spec.constraint_map is None or isinstance(spec.target_set, WholeSpace):
         cost, feas = _cost(spec._plan, x, u)[0], 0.0

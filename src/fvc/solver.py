@@ -36,12 +36,15 @@ Prog. 45, 1989) swings over four decades from pair to pair, while the long
 Barzilai-Borwein scaling s.s / s.y (IMA J. Numer. Anal. 8, 1988) stays near
 1/h. A descent uses the long one until a long-scaled search fails, a trial
 point leaves the integrand's domain or a component is held at its bound, and
-the short one for the rest of the descent.
+the short one for the rest of the descent. The two-metric projection
+(Bertsekas, SIAM J. Control Optim. 20, 1982) zeroes each held component in g
+before the two-loop recursion and in the direction after it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -202,13 +205,14 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig, start=None):
     long-scaled search (the iteration searches once more with the short
     scaling before it stalls), EvalError or SolverError trial, or held
     component at the top of an iteration: z <= lo with g > 0, z >= hi with g < 0.
+    Held components are zeroed in g and in d.
 
-    The history holds (s, y, 1 / (s . y)) of at most cfg.memory accepted
-    steps, with s and y views into rows of one (memory + 1, 2, z.size) block
-    allocated here. Each new pair is written into row k mod (memory + 1) and
-    k counts the pairs that pass the curvature test, so the history occupies
-    the rows before row k and a reset only empties the list. No step
-    allocates a pair, and the returned arrays never alias the block.
+    The history, a deque bounded at cfg.memory, holds (s, y, 1 / (s . y)) of
+    the last accepted steps, with s and y views into rows of one (memory + 1,
+    2, z.size) block allocated here. Each new pair is written into row k mod
+    (memory + 1) and k counts the pairs that pass the curvature test, so the
+    history occupies the rows before row k and a reset only clears the deque.
+    No step allocates a pair, and the returned arrays never alias the block.
     """
     z = np.clip(z, lo, hi)
     if start is None:
@@ -217,7 +221,7 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig, start=None):
     else:
         f, g = start
     eps = np.finfo(float).eps
-    history = []  # (s, y, 1 / (s . y)) of the last cfg.memory accepted steps
+    history = deque(maxlen=cfg.memory)  # (s, y, 1 / (s . y)) of the last accepted steps
     pairs = np.empty((cfg.memory + 1, 2, z.size))
     k = 0  # pairs kept so far; row k mod (memory + 1) holds none of the history
     it = 0
@@ -227,11 +231,16 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig, start=None):
         if converged or it >= max_iters:
             return z, f, g, it, converged
         # a component held at its bound clips the long step out of shape
-        short = short or bool(np.any((z <= lo) & (g > 0) | (z >= hi) & (g < 0)))
-        d = -(_lbfgs_direction(g, history, short=True) if short else _lbfgs_direction(g, history))
+        held = np.flatnonzero((z <= lo) & (g > 0) | (z >= hi) & (g < 0))
+        short = short or held.size > 0
+        free_g = g.copy() if held.size else g
+        free_g[held] = 0.0  # no copy of g and no write while nothing is held
+        d = -(_lbfgs_direction(free_g, history, short=True) if short
+              else _lbfgs_direction(free_g, history))
+        d[held] = 0.0
         if float(d @ g) >= 0.0:
             d = -g
-            history = []
+            history.clear()
         retry = not short and bool(history)  # the long scaling shaped d
         step = 1.0
         accepted = False
@@ -274,8 +283,6 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig, start=None):
         sy = float(s @ yv)
         if sy > 1e-14 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
             history.append((s, yv, 1.0 / sy))
-            if len(history) > cfg.memory:
-                history.pop(0)
             k += 1
         z, f, g = z_new, f_new, g_new
 

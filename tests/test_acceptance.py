@@ -339,3 +339,62 @@ def test_criterion_7_determinism(tmp_path):
         assert main(["check", problem, str(traj), "--out", str(report)]) == 0
         runs.append((out.read_bytes(), traj.read_bytes(), report.read_bytes()))
     _verdict("7 (determinism)", runs[0] == runs[1])
+
+
+def _oracle_spec(kind, alpha, beta, n_cells):
+    """L = u^2/2 and x(0) = 0 on [0, 1]; fixed_initial has phi = -x(1), fixed_both x(1) = 1."""
+    g, s = standard_constraint(kind, 1, [0.0], [1.0])
+    return ProblemSpec(
+        alpha=alpha,
+        beta=beta,
+        grid=Grid(0.0, 1.0, n_cells),
+        dim=1,
+        phi=parse("-xb1" if kind == "fixed_initial" else "0", 1),
+        lagrangian=parse("0.5*u1^2", 1),
+        constraint_map=g,
+        target_set=s,
+    )
+
+
+def _oracle_value(kind, alpha, beta):
+    """The exact optimum J* of _oracle_spec for beta < 2 alpha.
+
+    With k = (1 - s)^(alpha-1) / Gamma(alpha) and w = (1 - s)^(beta-1) / Gamma(beta),
+    x(1) = int k u and the cost term is int w u^2 / 2, so by Cauchy-Schwarz
+    u* is proportional to k / w and the answer rests on
+    int k^2 / w = Gamma(beta) / ((2 alpha - beta) Gamma(alpha)^2).
+    """
+    c = (2.0 * alpha - beta) * math.gamma(alpha) ** 2 / math.gamma(beta)
+    return -0.5 / c if kind == "fixed_initial" else 0.5 * c
+
+
+def test_criterion_8_fractional_oracles():
+    ok = True
+    # at alpha = beta, u* is constant and the scheme exact: the error is the penalty's bias
+    for kind in ("fixed_initial", "fixed_both"):
+        err = abs(solve(_oracle_spec(kind, 0.6, 0.6, 128)).objective - _oracle_value(kind, 0.6, 0.6))
+        print(f"{kind}, alpha = beta = 0.6, n = 128: |J - J*| = {err:.1e}")
+        ok = ok and err <= 2e-6
+    # otherwise J_n converges at order 2 alpha - beta, and for fixed_initial the sup
+    # of u_n grows like n^max(beta - alpha, 0); Aitken's extrapolation recovers J*
+    cases = [
+        ("fixed_initial", 0.8, 0.5, 0.02, 1e-5),
+        ("fixed_initial", 0.75, 1.0, 0.02, 1e-5),
+        ("fixed_initial", 0.6, 1.0, 0.02, 1e-5),
+        ("fixed_both", 0.75, 1.0, 0.05, 1e-4),
+    ]
+    for kind, alpha, beta, order_tol, aitken_tol in cases:
+        results = [solve(_oracle_spec(kind, alpha, beta, n)) for n in (128, 256, 512)]
+        j = [r.objective for r in results]
+        d, d_prev = j[2] - j[1], j[1] - j[0]
+        order = math.log2(d_prev / d) if d * d_prev > 0 else math.nan
+        aitken_err = abs(j[2] - d * d / (d - d_prev) - _oracle_value(kind, alpha, beta))
+        growth = math.log2(results[2].traj.u.sup_norm() / results[1].traj.u.sup_norm())
+        print(
+            f"{kind}, alpha = {alpha}, beta = {beta}: order {order:.3f}, "
+            f"growth {growth:.3f}, Aitken error {aitken_err:.1e}"
+        )
+        ok = ok and abs(order - (2.0 * alpha - beta)) <= order_tol and aitken_err <= aitken_tol
+        if kind == "fixed_initial":
+            ok = ok and abs(growth - max(beta - alpha, 0.0)) <= 0.02
+    _verdict("8 (fractional oracles)", ok)

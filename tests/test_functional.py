@@ -378,6 +378,13 @@ class TestNeedleBounds:
         with pytest.raises(ValueError, match="need radius >= 0"):
             needle_bounds_check(spec, zero_trajectory(spec.grid), p, radius)
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf])
+    def test_non_finite_needle_value_rejected(self, v):
+        spec = classic_spec()
+        p = NeedleParams(0.25, 0.25, np.array([v]))
+        with pytest.raises(ValueError, match="exceeds the radius bound"):
+            needle_bounds_check(spec, zero_trajectory(spec.grid), p, 1.0)
+
     def test_uniform_bound_fails_for_a_narrower_declared_window(self):
         # tau + h lies within node_index's tolerance of the node 0.5, so the needle
         # covers [0.25, 0.5) while the bound is taken for a width 5e-10 shorter
@@ -493,3 +500,9 @@ class TestPenalizedValue:
         for epsilon in (0.0, math.nan):
             with pytest.raises(ValueError, match="epsilon must be positive"):
                 penalized_value(spec, zero_trajectory(spec.grid), 0.0, epsilon)
+
+    @pytest.mark.parametrize("ref_value", [math.nan, math.inf, -math.inf])
+    def test_reference_value_must_be_finite(self, ref_value):
+        spec = classic_spec()
+        with pytest.raises(ValueError, match="ref_value must be finite"):
+            penalized_value(spec, zero_trajectory(spec.grid), ref_value, 1.0)

@@ -850,7 +850,8 @@ def test_lbfgs_direction_matches_two_loop_reference(rng):
 def list_descend(fun, z, lo, hi, tol, max_iters, cfg, start=None):
     """The descent with a fresh (s, y) pair per step in a plain list: the
     reference for the preallocated pair block of _descend, with the same
-    switches from the long to the short scaling and the same optional start."""
+    switches from the long to the short scaling, the same two-metric
+    projection on held components and the same optional start."""
     SolverError = solver_module.SolverError
     z = np.clip(z, lo, hi)
     if start is None:
@@ -868,11 +869,13 @@ def list_descend(fun, z, lo, hi, tol, max_iters, cfg, start=None):
             return z, f, g, it, True
         held = (z <= lo) & (g > 0) | (z >= hi) & (g < 0)
         short = short or bool(held.any())
+        free_g = np.where(held, 0.0, g)  # the two-metric projection: held components stay put
         for _ in range(2):
             if short:
-                d = -solver_module._lbfgs_direction(g, history, short=True)
+                d = -solver_module._lbfgs_direction(free_g, history, short=True)
             else:
-                d = -solver_module._lbfgs_direction(g, history)
+                d = -solver_module._lbfgs_direction(free_g, history)
+            d[held] = 0.0
             if float(d @ g) >= 0.0:
                 d = -g
                 history = []
@@ -924,13 +927,24 @@ def assert_same_descent(got, want):
     assert (it, conv) == (it0, conv0)
 
 
-def fixed_both_spec():
-    """x(0) = 0, x(1) = 1, phi = 0, classic L, alpha = 0.7, n = 128: stages of 6/5/3/3 iterations."""
+def fixed_both_spec(alpha=0.7, n_cells=128):
+    """x(0) = 0, x(1) = 1, phi = 0, classic L; the default alpha = 0.7, n = 128
+    takes stages of 6/5/3/3 iterations."""
     g, s = standard_constraint("fixed_both", 1, [0.0], [1.0])
     return ProblemSpec(
-        alpha=0.7, beta=1.0, grid=Grid(0.0, 1.0, 128), dim=1, phi=parse("0", 1),
+        alpha=alpha, beta=1.0, grid=Grid(0.0, 1.0, n_cells), dim=1, phi=parse("0", 1),
         lagrangian=parse("0.5*(x1^2 + u1^2)", 1), constraint_map=g, target_set=s,
     )
+
+
+def test_radius_bound_held_near_b_converges():
+    # u* grows without bound near b for beta > alpha, so |u| <= 5 binds there; with
+    # the held cells left out of the direction the solve takes under 100 iterations,
+    # and without it spends a 5000-iteration budget
+    spec = fixed_both_spec(alpha=0.6, n_cells=1024)
+    result = solve(spec, SolverConfig(radius=5.0, max_iters=1000))
+    assert result.converged
+    assert float(np.max(np.abs(result.traj.u.values))) == 5.0
 
 
 class TestPairBlock:
