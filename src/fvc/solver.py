@@ -39,6 +39,19 @@ point leaves the integrand's domain or a component is held at its bound, and
 the short one for the rest of the descent. The two-metric projection
 (Bertsekas, SIAM J. Control Optim. 20, 1982) zeroes each held component in g
 before the two-loop recursion and in the direction after it.
+
+A penalty stage's ill-conditioning is known exactly: near the target set the
+Hessian of rho dist^2(g, S) is 2 rho A A^T, where A = J^T N has k <= 2 dim
+columns, J the constraint Jacobian pulled back to the decision vector and N
+the normal basis of S at P_S(g) (Nocedal & Wright, sec. 17.1). So a penalty
+stage starts the recursion from H0 = (I / gamma + 2 rho A A^T)^-1, applied by
+the Woodbury identity with one k x k solve, and the secant pairs learn only
+the rest (the structured quasi-Newton idea of Dennis, Gay & Welsch, ACM TOMS
+7, 1981): gamma comes from the cost part y_c = y - 2 rho A A^T s of the last
+pair. A is built once per stage from its start point, with its rows on the
+held set zeroed, as are the pairs'. The first stage starts from gamma = 1/h,
+each later one from the gamma the stage before ended with. A descent without
+a penalty keeps H0 = gamma I.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ from typing import Optional
 import numpy as np
 
 from .conditions import RegularityError, ResidualReport, build_report
-from .convex import project
+from .convex import normal_cone_basis, project
 from .expr import EvalError, Var
 from .frac_ops import GridFn, _left_sums
 from .functional import _cost, _cost_gradient, _pull_back, objective_gradient
@@ -138,9 +151,9 @@ def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float, last=None):
     endpoint call. The line search needs only values; the gradient is
     computed when a trial point is accepted, from the same u and x, and is
     written straight into the vector it returns. The thunk also fills the
-    dict last, if given, with this point's state "x", "cost" Phi, "gap"
-    g - P_S(g) (None without a penalty), distance "feas" = |gap| and
-    "jacobian" [g_a, g_b] of g.
+    dict last, if given, with this point's state "x", "cost" Phi, "proj"
+    P_S(g) and "gap" g - P_S(g) (both None without a penalty), distance
+    "feas" = |gap| and "jacobian" [g_a, g_b] of g.
     """
     plan = spec._plan
     u = _controls(spec, z)
@@ -149,10 +162,12 @@ def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float, last=None):
     if not (np.isfinite(u).all() and np.isfinite(x).all()):
         raise SolverError("trial control or state is not finite")
     constrained = spec.constraint_map is not None and rho > 0.0
-    gap, feas = None, 0.0
+    proj = gap = None
+    feas = 0.0
     if constrained:
         cost, (g_val,) = _cost(plan, x, u, "g")
-        gap = g_val - project(spec.target_set, g_val)  # half the gradient of dist^2
+        proj = project(spec.target_set, g_val)
+        gap = g_val - proj  # half the gradient of dist^2
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
             feas = float(np.linalg.norm(gap))
         value = cost + rho * feas * feas
@@ -167,10 +182,95 @@ def _penalized(spec: ProblemSpec, z: np.ndarray, rho: float, last=None):
         out = np.empty(z.size)
         *_, jacobian = _cost_gradient(plan, x, u, out, rho * (2.0 * gap) if constrained else None)
         if last is not None:
-            last.update(x=x, cost=cost, gap=gap, feas=feas, jacobian=jacobian)
+            last.update(x=x, cost=cost, proj=proj, gap=gap, feas=feas, jacobian=jacobian)
         return out
 
     return value, gradient
+
+
+class _Stage:
+    """One penalty stage's objective z -> _penalized(spec, z, rho, last), and
+    the L-BFGS direction of its descent from the penalty's curvature
+    2 rho A A^T (see the module docstring).
+
+    The k rows of A^T, the gradients in z of n . g for the columns n of N,
+    are built once, from the record last when the descent first asks: the
+    stage's start point. gamma0 scales a direction built without pairs;
+    gamma is the scale of the last direction, which solve hands to the next
+    stage as its gamma0.
+    """
+
+    def __init__(self, spec: ProblemSpec, rho: float, last: dict, gamma0: float):
+        self.spec, self.rho, self.last = spec, rho, last
+        self.gamma0 = self.gamma = gamma0
+        self.normals = None  # the rows of A^T, (k, z.size)
+
+    def __call__(self, z):
+        return _penalized(self.spec, z, self.rho, self.last)
+
+    def lbfgs_direction(self, g, history, held, short):
+        """H g by the two-loop recursion from initial_matrix. On the held set,
+        where g is zero, the pairs are zeroed too (those that then fail
+        s . y > 0 are left out), so the recursion and H0 see one problem: that
+        of the free components."""
+        if held.size:
+            reduced = []
+            for s, y, _ in history:
+                s, y = s.copy(), y.copy()
+                s[held] = y[held] = 0.0
+                sy = float(s @ y)
+                if sy > 0.0:
+                    reduced.append((s, y, 1.0 / sy))
+            history = reduced
+        return _lbfgs_direction(g, history, h0=self.initial_matrix(history, held, short))
+
+    def initial_matrix(self, history, held, short):
+        """q -> H0 q, in place, for H0 = (I / gamma + 2 rho A A^T)^-1 with the
+        rows of A on held zeroed, by the Woodbury identity
+        H0 q = gamma (q - gamma A (I / (2 rho) + gamma A^T A)^-1 A^T q).
+
+        gamma is gamma0 without pairs. Otherwise it comes from the last pair
+        (s, y) with the penalty's curvature taken out of y (the structured
+        secant idea of Dennis, Gay & Welsch, ACM TOMS 7, 1981),
+        y_c = y - 2 rho A A^T s: the long scaling s . s / s . y_c, or the
+        short one s . y_c / y_c . y_c if short, or those of (s, y) if
+        s . y_c <= 0. H0 is gamma I if A has no columns or the k x k system
+        is not finite.
+        """
+        spec, two_rho = self.spec, 2.0 * self.rho
+        if self.normals is None:
+            basis = normal_cone_basis(spec.target_set, self.last["proj"])
+            # z holds the n_cells control rows and then y: n_nodes rows of dim
+            self.normals = np.zeros((basis.shape[1], spec.grid.n_nodes * spec.dim))
+            for row, n in zip(self.normals, basis.T):
+                _pull_back(spec._plan, self.last["jacobian"], n, row)
+        normals = self.normals
+        if held.size:
+            normals = normals.copy()
+            normals[:, held] = 0.0
+        gamma = self.gamma0
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite part is caught below
+            if history:
+                s, y, inv_sy = history[-1]
+                y_c = y - two_rho * ((normals @ s) @ normals)
+                sy_c, yy_c = float(s @ y_c), float(y_c @ y_c)
+                if 0.0 < sy_c and yy_c < math.inf:
+                    gamma = sy_c / yy_c if short else float(s @ s) / sy_c
+                else:
+                    gamma = float(s @ y) / float(y @ y) if short else float(s @ s) * inv_sy
+            system = gamma * (normals @ normals.T)
+            system.flat[:: len(system) + 1] += 1.0 / two_rho
+        self.gamma = gamma
+        woodbury = len(system) > 0 and bool(np.isfinite(system).all())
+
+        def apply(q):
+            if woodbury:
+                c = np.linalg.lstsq(system, normals @ q, rcond=None)[0]
+                q -= gamma * (c @ normals)
+            q *= gamma
+            return q
+
+        return apply
 
 
 def _bounds(spec: ProblemSpec, z: np.ndarray, radius: float):
@@ -205,7 +305,8 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig, start=None):
     long-scaled search (the iteration searches once more with the short
     scaling before it stalls), EvalError or SolverError trial, or held
     component at the top of an iteration: z <= lo with g > 0, z >= hi with g < 0.
-    Held components are zeroed in g and in d.
+    Held components are zeroed in g and in d. When fun is a _Stage, its
+    lbfgs_direction builds d from the penalty's curvature and the same pairs.
 
     The history, a deque bounded at cfg.memory, holds (s, y, 1 / (s . y)) of
     the last accepted steps, with s and y views into rows of one (memory + 1,
@@ -235,8 +336,11 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig, start=None):
         short = short or held.size > 0
         free_g = g.copy() if held.size else g
         free_g[held] = 0.0  # no copy of g and no write while nothing is held
-        d = -(_lbfgs_direction(free_g, history, short=True) if short
-              else _lbfgs_direction(free_g, history))
+        if isinstance(fun, _Stage):
+            d = -fun.lbfgs_direction(free_g, history, held, short)
+        else:
+            d = -(_lbfgs_direction(free_g, history, short=True) if short
+                  else _lbfgs_direction(free_g, history))
         d[held] = 0.0
         if float(d @ g) >= 0.0:
             d = -g
@@ -287,9 +391,10 @@ def _descend(fun, z, lo, hi, tol, max_iters, cfg: SolverConfig, start=None):
         z, f, g = z_new, f_new, g_new
 
 
-def _lbfgs_direction(g, history, short=False):
-    """Two-loop recursion for H g with H0 = gamma I from the last pair: the
-    long scaling s . s / s . y, or the short one s . y / y . y if short."""
+def _lbfgs_direction(g, history, short=False, h0=None):
+    """Two-loop recursion for H g. H0 is h0, a map q -> H0 q in place, if
+    given; otherwise gamma I from the last pair: the long scaling s . s / s . y,
+    or the short one s . y / y . y if short."""
     q = g.copy()
     tmp = np.empty_like(q)  # one scratch vector for every a*y and (a-b)*s
     alphas = []
@@ -297,7 +402,9 @@ def _lbfgs_direction(g, history, short=False):
         a = rho * float(s @ q)
         alphas.append((a, rho, s, y))
         q -= np.multiply(a, y, out=tmp)
-    if history:
+    if h0 is not None:
+        q = h0(q)
+    elif history:
         s, y, rho = history[-1]
         q *= float(s @ y) / float(y @ y) if short else float(s @ s) * rho
     for a, rho, s, y in reversed(alphas):
@@ -337,6 +444,7 @@ def solve(
     converged = False
     last = {}  # the point last given a gradient, as _penalized records it
     start = None  # value and gradient handed on to the next stage
+    gamma = 1.0 / spec.grid.h  # the scale the long scaling settles at; then handed on
     for eps, rho in stages:
         tol = max(1e-7, math.sqrt(eps) * 1e-3)  # the floor binds only for eps < 1e-8
         budget = config.max_iters - total_iters
@@ -350,8 +458,13 @@ def solve(
             gap = last["gap"]
             _pull_back(spec._plan, last["jacobian"], (rho - rho_last) * (2.0 * gap), g)
             start = f + (rho - rho_last) * float(gap @ gap), g
-        fun = lambda zz, r=(rho if constrained else 0.0): _penalized(spec, zz, r, last)
+        if constrained:
+            fun = _Stage(spec, rho, last, gamma)
+        else:
+            fun = lambda zz: _penalized(spec, zz, 0.0, last)
         z, f, g, used, converged = _descend(fun, z, lo, hi, tol, budget, config, start)
+        if constrained:
+            gamma = fun.gamma
         start, rho_last = (f, g), rho
         total_iters += used
     traj = _traj_from(spec, z)
